@@ -4,7 +4,7 @@ Disambiguation* (Leventidis et al., EDBT 2021) on PySpark.
 Packages:
 
 - ``repro.core``      — DomainNet itself: bipartite graph, LCC, BC, pipeline.
-- ``repro.graph``     — graph-engine substrate: CSR kernel + DataFrame BFS.
+- ``repro.graph``     — graph-engine substrate: CSR adjacency, union-find.
 - ``repro.lakes``     — data-lake substrate and benchmark generators
                         (SB, TUS-lite, TUS-I injection, NYC-scale).
 - ``repro.baselines`` — the D4 domain-discovery baseline (D4-lite).

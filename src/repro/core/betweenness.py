@@ -4,11 +4,10 @@ Exact BC is Brandes' algorithm (O(nm), Brandes 2001): one BFS + one
 dependency-accumulation pass per source node. The approximation is the
 source-sampling estimator used by the paper's Networkit setup: run
 Brandes from ``s`` sampled sources and scale the summed dependencies by
-``n / s`` (uniform sampling; degree-proportional sampling is available,
-matching the heuristic discussed in §3.3).
+``n / s``, which is unbiased for uniform sampling.
 
-Distribution: Brandes is embarrassingly parallel over sources. The CSR
-adjacency (built from the DataFrame-derived edge list) is broadcast, a
+Distribution: Brandes is embarrassingly parallel over sources. The
+graph's CSR adjacency, already on the driver, is broadcast, a
 DataFrame of source ids is fanned out with ``mapInPandas`` (each task
 runs the numpy kernel for its sources and emits its partial dependency
 vector sparsely), and partials are reduced with ``groupBy(node_id).sum``.
@@ -22,20 +21,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.graph.csr import CSR
-
-
-def _expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
-    """All (src, neighbor) pairs for edges leaving ``frontier`` nodes."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    offs = np.arange(total, dtype=np.int64) - np.repeat(counts.cumsum() - counts, counts)
-    idx = np.repeat(starts, counts) + offs
-    return np.repeat(frontier, counts), indices[idx]
+from repro.graph.csr import CSR, expand
 
 
 def brandes_dependencies(
@@ -58,7 +44,7 @@ def brandes_dependencies(
     levels = [frontier]
     d = 0
     while frontier.size:
-        srcs, nbrs = _expand(indptr, indices, frontier)
+        srcs, nbrs = expand(indptr, indices, frontier)
         new = np.unique(nbrs[dist[nbrs] == -1])
         dist[new] = d + 1
         on_dag = dist[nbrs] == d + 1
@@ -70,7 +56,7 @@ def brandes_dependencies(
 
     delta = np.zeros(n, dtype=np.float64)
     for frontier in reversed(levels[:-1] if len(levels) > 1 else []):
-        srcs, nbrs = _expand(indptr, indices, frontier)
+        srcs, nbrs = expand(indptr, indices, frontier)
         on_dag = dist[nbrs] == dist[srcs] + 1
         s_sel, n_sel = srcs[on_dag], nbrs[on_dag]
         np.add.at(delta, s_sel, sigma[s_sel] / sigma[n_sel] * (1.0 + delta[n_sel]))
@@ -91,18 +77,10 @@ def betweenness_exact(csr: CSR, *, normalized: bool = True) -> np.ndarray:
     return _normalize(bc, csr.n) if normalized else bc
 
 
-def sample_sources(
-    csr: CSR, n_samples: int, *, seed: int = 0, degree_weighted: bool = False
-) -> np.ndarray:
-    """Sample distinct source nodes, uniformly or ∝ degree (§3.3)."""
+def sample_sources(csr: CSR, n_samples: int, *, seed: int = 0) -> np.ndarray:
+    """Sample distinct source nodes uniformly (§3.3)."""
     rng = np.random.default_rng(seed)
-    n_samples = min(n_samples, csr.n)
-    if not degree_weighted:
-        return rng.choice(csr.n, size=n_samples, replace=False)
-    deg = csr.degrees().astype(np.float64)
-    if deg.sum() == 0:
-        return rng.choice(csr.n, size=n_samples, replace=False)
-    return rng.choice(csr.n, size=n_samples, replace=False, p=deg / deg.sum())
+    return rng.choice(csr.n, size=min(n_samples, csr.n), replace=False)
 
 
 def betweenness_spark(
@@ -112,7 +90,6 @@ def betweenness_spark(
     sources: Iterable[int] | None = None,
     n_samples: int | None = None,
     seed: int = 0,
-    degree_weighted: bool = False,
     normalized: bool = True,
     parallelism: int | None = None,
 ) -> DataFrame:
@@ -126,9 +103,7 @@ def betweenness_spark(
         if n_samples is None:
             sources = np.arange(csr.n, dtype=np.int64)
         else:
-            sources = sample_sources(
-                csr, n_samples, seed=seed, degree_weighted=degree_weighted
-            )
+            sources = sample_sources(csr, n_samples, seed=seed)
     sources = np.asarray(list(sources), dtype=np.int64)
     n, s = csr.n, len(sources)
     scale = 1.0 if s in (0, n) else n / s

@@ -4,14 +4,15 @@ Nodes are data values and attributes; an edge ``(v, a)`` exists iff
 normalized value ``v`` occurs in attribute ``a``. Each distinct value is
 one node no matter how many attributes it occurs in.
 
-The graph is materialized as two DataFrames:
+``build_graph`` is the system's one collect boundary: Spark normalizes
+the cells and groups the distinct incidences by value in one shuffle;
+one Arrow collect brings them to the driver, which holds the graph as
+numpy arrays from then on:
 
-- ``nodes``: ``(node_id long, label string, is_value boolean)`` —
-  value nodes take ids ``[0, n_values)``, attribute nodes
-  ``[n_values, n_values + n_attrs)``; ids are dense and deterministic
-  (ordered by label) so downstream numpy kernels can index arrays by id.
-- ``edges``: ``(value_id long, attr_id long)`` — one row per distinct
-  (value, attribute) incidence.
+- ``labels``: node id → label. Value nodes take ids ``[0, n_values)``,
+  attribute nodes the rest, each in label (code point) order — Spark's
+  string order — so ids are dense and independent of lake row order.
+- ``csr``: the undirected adjacency, built once.
 
 Paper §5 pre-processing: values occurring in a single attribute cannot be
 homographs; ``prune_unique=True`` (default) removes them, shrinking the
@@ -20,39 +21,55 @@ graph (≈3% of nodes on TUS, ≈30% on SB per the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from pyspark.sql import DataFrame, Window
+import numpy as np
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.normalize import ATTR_COL, VALUE_COL, normalize_cells
+from repro.graph.csr import CSR, csr_from_arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """The DomainNet graph plus its size counters.
+    """Node labels and CSR adjacency; ``n_edges`` counts each
+    value–attribute edge once."""
 
-    ``n_values`` + ``n_attrs`` = total node count; ``n_edges`` counts
-    undirected value–attribute edges once.
-    """
-
-    nodes: DataFrame
-    edges: DataFrame
+    labels: np.ndarray
     n_values: int
-    n_attrs: int
-    n_edges: int
+    csr: CSR
 
     @property
     def n_nodes(self) -> int:
-        return self.n_values + self.n_attrs
+        return len(self.labels)
 
-    def value_nodes(self) -> DataFrame:
-        """``(node_id, label)`` for value nodes only."""
-        return self.nodes.where("is_value").select("node_id", "label")
+    @property
+    def n_attrs(self) -> int:
+        return self.n_nodes - self.n_values
 
-    def value_degrees(self) -> DataFrame:
-        """``(node_id, degree)`` — number of attributes per value node."""
-        return self.edges.groupBy(F.col("value_id").alias("node_id")).agg(
-            F.count("*").alias("degree")
+    @property
+    def n_edges(self) -> int:
+        return self.csr.n_undirected_edges
+
+    @property
+    def value_labels(self) -> np.ndarray:
+        return self.labels[: self.n_values]
+
+    def edge_frame(self) -> pd.DataFrame:
+        """``(value_id, attr_id)`` per edge, ordered by value then attribute."""
+        indptr = self.csr.indptr[: self.n_values + 1]
+        return pd.DataFrame({
+            "value_id": np.repeat(np.arange(self.n_values), np.diff(indptr)),
+            "attr_id": self.csr.indices[: indptr[-1]],
+        })
+
+    @cached_property
+    def edges(self) -> DataFrame:
+        """:meth:`edge_frame` as a Spark DataFrame, for callers in Spark."""
+        return SparkSession.active().createDataFrame(
+            self.edge_frame(), schema="value_id long, attr_id long"
         )
 
 
@@ -66,49 +83,25 @@ def build_graph(cells: DataFrame, *, prune_unique: bool = True) -> BipartiteGrap
 
     ``prune_unique`` drops value nodes whose degree is 1 (they cannot be
     homographs — paper §5). Attribute nodes are kept even if all their
-    values were pruned, mirroring the paper's attribute-node universe.
+    values were pruned, so attribute ids do not depend on the prune
+    setting: a pruned value is collected as its attribute with a NULL
+    value.
     """
-    inc = incidences(cells)
+    by_value = normalize_cells(cells).groupBy(VALUE_COL).agg(
+        F.collect_set(ATTR_COL).alias("attrs")
+    )
+    value = F.col(VALUE_COL)
     if prune_unique:
-        multi = (
-            inc.groupBy(VALUE_COL)
-            .agg(F.count("*").alias("deg"))
-            .where("deg >= 2")
-            .select(VALUE_COL)
-        )
-        inc = inc.join(multi, on=VALUE_COL, how="inner")
-    inc = inc.cache()
+        value = F.when(F.size("attrs") >= 2, value)
+    pdf = by_value.select(
+        F.explode("attrs").alias(ATTR_COL), value.alias(VALUE_COL)
+    ).toPandas()
 
-    # Dense deterministic ids: values first (ordered by label), then attrs.
-    w = Window.orderBy("label")
-    values = (
-        inc.select(F.col(VALUE_COL).alias("label"))
-        .distinct()
-        .withColumn("node_id", F.row_number().over(w) - F.lit(1))
-        .withColumn("is_value", F.lit(True))
+    attrs, attr_idx = np.unique(pdf[ATTR_COL].to_numpy(object), return_inverse=True)
+    kept = pdf[VALUE_COL].notna().to_numpy()
+    values, value_idx = np.unique(
+        pdf[VALUE_COL].to_numpy(object)[kept], return_inverse=True
     )
-    n_values = values.count()
-    attrs = (
-        # Attribute universe comes from the *unpruned* lake so attribute
-        # node ids are stable across prune settings of the same lake.
-        normalize_cells(cells)
-        .select(F.col(ATTR_COL).alias("label"))
-        .distinct()
-        .withColumn("node_id", F.row_number().over(w) - F.lit(1) + F.lit(n_values))
-        .withColumn("is_value", F.lit(False))
-    )
-    n_attrs = attrs.count()
-    nodes = values.unionByName(attrs).select("node_id", "label", "is_value").cache()
-
-    edges = (
-        inc.join(values.withColumnRenamed("label", VALUE_COL), on=VALUE_COL)
-        .withColumnRenamed("node_id", "value_id")
-        .join(
-            attrs.select(F.col("label").alias(ATTR_COL), F.col("node_id").alias("attr_id")),
-            on=ATTR_COL,
-        )
-        .select("value_id", "attr_id")
-    ).cache()
-    n_edges = edges.count()
-    inc.unpersist()
-    return BipartiteGraph(nodes, edges, n_values, n_attrs, n_edges)
+    n_values = len(values)
+    csr = csr_from_arrays(value_idx, n_values + attr_idx[kept], n_values + len(attrs))
+    return BipartiteGraph(np.concatenate([values, attrs]), n_values, csr)

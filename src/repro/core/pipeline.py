@@ -6,40 +6,40 @@
 
 ``measure="bc"`` is betweenness centrality (exact when
 ``n_samples=None``, source-sampled otherwise); ``measure="lcc"`` is the
-bipartite local clustering coefficient.
+bipartite local clustering coefficient. Steps 2 and 3 run on the driver
+over the graph's arrays, apart from BC's fan-out over sources.
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.betweenness import betweenness_spark
 from repro.core.graph import BipartiteGraph, build_graph
-from repro.core.lcc import lcc_scores
-from repro.core.ranking import MEASURE_ASCENDING, attach_labels, rank_values
-from repro.graph.csr import csr_from_edges
+from repro.core.lcc import lcc_values
+from repro.core.ranking import MEASURE_ASCENDING, label_scores, rank_frame
 
 
-def value_scores(
+def rank_graph(
     spark: SparkSession,
     graph: BipartiteGraph,
     *,
     measure: str = "bc",
     n_samples: int | None = None,
     seed: int = 0,
-    degree_weighted: bool = False,
-) -> DataFrame:
-    """``(label, <measure>)`` for every value node of ``graph``."""
+) -> pd.DataFrame:
+    """``(label, <measure>, rank)`` for every value node of ``graph``, in
+    rank order; rank 1 = strongest homograph candidate."""
     if measure == "bc":
-        csr = csr_from_edges(graph.edges, graph.n_nodes)
-        scores = betweenness_spark(
-            spark, csr, n_samples=n_samples, seed=seed, degree_weighted=degree_weighted
-        )
-        # LCC ranks missing nodes as non-homographs via fill=1.0; for BC
-        # a missing node simply has zero centrality.
-        return attach_labels(graph, scores, score_col="bc", fill=0.0)
-    if measure == "lcc":
-        return attach_labels(graph, lcc_scores(graph), score_col="lcc", fill=1.0)
-    raise ValueError(f"unknown measure {measure!r} (expected 'bc' or 'lcc')")
+        bc = betweenness_spark(spark, graph.csr, n_samples=n_samples, seed=seed)
+        pdf = bc.toPandas()
+        # A node the sparse reducer does not emit has zero centrality.
+        labeled = label_scores(graph, pdf["node_id"], pdf["bc"], score_col="bc")
+    elif measure == "lcc":
+        labeled = pd.DataFrame({"label": graph.value_labels, "lcc": lcc_values(graph)})
+    else:
+        raise ValueError(f"unknown measure {measure!r} (expected 'bc' or 'lcc')")
+    return rank_frame(labeled, score_col=measure, ascending=MEASURE_ASCENDING[measure])
 
 
 def rank_homographs(
@@ -53,14 +53,11 @@ def rank_homographs(
 ) -> tuple[BipartiteGraph, DataFrame]:
     """Full pipeline: lake cells → ranked homograph candidates.
 
-    Returns the graph and a ``(label, <measure>, rank)`` DataFrame with
-    rank 1 = strongest homograph candidate.
+    Returns the graph and :func:`rank_graph`'s ranking as a Spark
+    ``(label, <measure>, rank)`` DataFrame.
     """
     graph = build_graph(cells, prune_unique=prune_unique)
-    labeled = value_scores(
-        spark, graph, measure=measure, n_samples=n_samples, seed=seed
+    ranked = rank_graph(spark, graph, measure=measure, n_samples=n_samples, seed=seed)
+    return graph, spark.createDataFrame(
+        ranked, schema=f"label string, {measure} double, rank long"
     )
-    ranked = rank_values(
-        labeled, score_col=measure, ascending=MEASURE_ASCENDING[measure]
-    )
-    return graph, ranked

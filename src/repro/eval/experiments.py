@@ -15,16 +15,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.d4 import discover_domains
-from repro.core.betweenness import (
-    betweenness_spark,
-    brandes_dependencies,
-    sample_sources,
-)
+from repro.core.betweenness import brandes_dependencies, sample_sources
 from repro.core.graph import build_graph
-from repro.core.pipeline import rank_homographs
-from repro.core.ranking import attach_labels
+from repro.core.pipeline import rank_graph
 from repro.eval.metrics import best_f1, hits_in_topk, metrics_at_k, topk_curve
-from repro.graph.csr import csr_from_edges
 from repro.lakes.datalake import lake_stats
 from repro.lakes.nyc import attribute_induced_subgraph, nyc_lake
 from repro.lakes.sb import sb_lake
@@ -78,12 +72,12 @@ def sb_top55(
     out: dict = {"k": k}
 
     for measure in ("bc", "lcc"):
-        _, ranked = rank_homographs(
-            spark, sb.cells, measure=measure,
+        ranked = rank_graph(
+            spark, build_graph(sb.cells), measure=measure,
             n_samples=n_samples if measure == "bc" else None, seed=seed,
         )
         curve = topk_curve(
-            ranked.withColumn("is_homograph", ranked.label.isin(list(homs))),
+            ranked.assign(is_homograph=ranked.label.isin(homs)),
             score_col=measure,
             ascending=(measure == "lcc"),
         )
@@ -121,11 +115,11 @@ def _injection_run(
         spark, clean_cells, col_domains, n=n, meanings=meanings,
         min_cardinality=min_cardinality, seed=seed,
     )
-    _, ranked = rank_homographs(
-        spark, inj.cells, measure="bc", n_samples=n_samples, seed=seed
+    ranked = rank_graph(
+        spark, build_graph(inj.cells), measure="bc", n_samples=n_samples, seed=seed
     )
     curve = topk_curve(
-        ranked.withColumn("is_homograph", ranked.label.isin(inj.injected)),
+        ranked.assign(is_homograph=ranked.label.isin(inj.injected)),
         score_col="bc",
     )
     return hits_in_topk(curve, n, inj.injected) / n
@@ -190,6 +184,14 @@ def table3_meanings(
     return pd.DataFrame(rows, columns=["meanings", "pct_in_topn", "runs"])
 
 
+def with_truth(labeled: pd.DataFrame, truth: pd.DataFrame) -> pd.DataFrame:
+    """``labeled`` plus the ``is_homograph`` column of a ``(label,
+    is_homograph)`` truth frame; labels the truth lacks are False."""
+    out = labeled.merge(truth, on="label", how="left")
+    out["is_homograph"] = out["is_homograph"].fillna(False).astype(bool)
+    return out
+
+
 # --------------------------------------------- §5.3: TUS top-k (Fig. 7)
 def tus_topk(
     spark: SparkSession, *, sf: float = 1.0, n_samples: int = 2000,
@@ -197,23 +199,18 @@ def tus_topk(
 ) -> dict:
     """Top-k precision/recall/F1 on TUS-lite with its natural homographs."""
     lake = tus_lake(spark, sf=sf, seed=seed)
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark))
-    _, ranked = rank_homographs(
-        spark, lake.cells, measure="bc", n_samples=n_samples, seed=seed
+    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark)).toPandas()
+    ranked = rank_graph(
+        spark, build_graph(lake.cells), measure="bc", n_samples=n_samples, seed=seed
     )
-    scored = ranked.join(truth, on="label", how="left").fillna(
-        False, subset=["is_homograph"]
-    )
-    curve = topk_curve(scored, score_col="bc").cache()
-    n_hom = truth.where("is_homograph").count()
+    curve = topk_curve(with_truth(ranked, truth), score_col="bc")
+    n_hom = int(truth["is_homograph"].sum())
     out = {
         "n_homographs": n_hom,
         "at_k": {k: metrics_at_k(curve, k) for k in ks if k < n_hom},
         "at_n_hom": metrics_at_k(curve, n_hom),
         "best_f1": best_f1(curve),
-        "top10": curve.orderBy("rank").limit(10).toPandas()[
-            ["rank", "label", "bc", "is_homograph"]
-        ],
+        "top10": curve.head(10)[["rank", "label", "bc", "is_homograph"]],
     }
     for k, m in out["at_k"].items():
         print(f"P@{k} = {m['precision']:.3f}  R = {m['recall']:.3f}")
@@ -235,20 +232,15 @@ def scalability_samples(
 ) -> pd.DataFrame:
     """Precision@#homographs and wall-clock vs BC sample count (Fig. 8)."""
     lake = tus_lake(spark, sf=sf, seed=seed)
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark)).cache()
-    n_hom = truth.where("is_homograph").count()
+    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark)).toPandas()
+    n_hom = int(truth["is_homograph"].sum())
     graph = build_graph(lake.cells, prune_unique=True)
-    csr = csr_from_edges(graph.edges, graph.n_nodes)
     rows = []
     for s in sample_sizes:
-        s = min(s, csr.n)
+        s = min(s, graph.n_nodes)
         t0 = time.perf_counter()
-        scores = betweenness_spark(spark, csr, n_samples=s, seed=seed)
-        labeled = attach_labels(graph, scores, score_col="bc", fill=0.0)
-        scored = labeled.join(truth, on="label", how="left").fillna(
-            False, subset=["is_homograph"]
-        )
-        curve = topk_curve(scored, score_col="bc")
+        ranked = rank_graph(spark, graph, measure="bc", n_samples=s, seed=seed)
+        curve = topk_curve(with_truth(ranked, truth), score_col="bc")
         prec = metrics_at_k(curve, n_hom)["precision"]
         dt = time.perf_counter() - t0
         rows.append((s, prec, dt))
@@ -267,7 +259,7 @@ def scalability_subgraphs(
     t0 = time.perf_counter()
     graph = build_graph(lake.cells, prune_unique=True)
     build_s = time.perf_counter() - t0
-    edges = graph.edges.toPandas()
+    edges = graph.edge_frame()
     print(
         f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
         f"constructed in {build_s:.1f}s"

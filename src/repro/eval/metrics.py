@@ -1,52 +1,45 @@
 """Evaluation metrics (paper §5 "Measures of success").
 
 Precision / recall / F1 of the k top-ranked homograph candidates, and the
-full top-k curve of Figure 7, computed in the DataFrame API with window
-functions so the whole ranking never has to leave Spark.
+full top-k curve of Figure 7, computed in pandas over the collected
+ranking (one row per value node, so it is as large as the graph's value
+set, which the driver already holds).
 """
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from typing import Iterable
+
+import pandas as pd
+from pyspark.sql import DataFrame
+
+from repro.core.ranking import rank_frame
 
 
 def topk_curve(
-    scored: DataFrame,
+    scored: pd.DataFrame | DataFrame,
     *,
     score_col: str,
-    label_col: str = "label",
     truth_col: str = "is_homograph",
     ascending: bool = False,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Cumulative precision/recall/F1 at every rank.
 
-    ``scored`` must have one row per candidate value with its score and a
-    boolean ground-truth column. Ties are broken deterministically by
-    label. Returns ``(rank, label, score, is_homograph, tp, precision,
-    recall, f1)`` ordered by rank.
+    ``scored`` (pandas, or Spark and collected here) must have one row per
+    candidate value with its ``label``, score and a boolean ground-truth
+    column. Ties are broken by label. Returns ``(rank, label, score,
+    is_homograph, tp, precision, recall, f1)`` ordered by rank.
     """
-    order = [
-        F.col(score_col).asc() if ascending else F.col(score_col).desc(),
-        F.col(label_col).asc(),
-    ]
-    w = Window.orderBy(*order)
-    cum = w.rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    n_true = scored.where(F.col(truth_col)).count()
-    ranked = (
-        scored.withColumn("rank", F.row_number().over(w))
-        .withColumn("tp", F.sum(F.col(truth_col).cast("long")).over(cum))
-        .withColumn("precision", F.col("tp") / F.col("rank"))
-        .withColumn("recall", F.col("tp") / F.lit(max(n_true, 1)))
-    )
-    return ranked.withColumn(
-        "f1",
-        F.when(
-            F.col("precision") + F.col("recall") > 0,
-            2 * F.col("precision") * F.col("recall")
-            / (F.col("precision") + F.col("recall")),
-        ).otherwise(F.lit(0.0)),
-    ).select("rank", label_col, score_col, truth_col, "tp", "precision", "recall", "f1")
+    if isinstance(scored, DataFrame):
+        scored = scored.toPandas()
+    c = rank_frame(scored, score_col=score_col, ascending=ascending)
+    truth = c[truth_col].astype(bool)
+    c["tp"] = truth.cumsum()
+    c["precision"] = c["tp"] / c["rank"]
+    c["recall"] = c["tp"] / max(int(truth.sum()), 1)
+    pr = c["precision"] + c["recall"]
+    c["f1"] = (2 * c["precision"] * c["recall"] / pr).fillna(0.0)
+    return c[["rank", "label", score_col, truth_col, "tp", "precision", "recall", "f1"]]
 
 
-def metrics_at_k(curve: DataFrame, k: int) -> dict:
+def metrics_at_k(curve: pd.DataFrame, k: int) -> dict:
     """Precision/recall/F1 at rank ``k`` from a :func:`topk_curve` result.
 
     If the curve has fewer than ``k`` rows (fewer candidates than ``k``),
@@ -54,10 +47,10 @@ def metrics_at_k(curve: DataFrame, k: int) -> dict:
     paper's convention when an algorithm returns fewer than k results
     (D4 on SB returns 21 candidates, scored against 55 slots).
     """
-    rows = curve.where(F.col("rank") <= k).orderBy(F.col("rank").desc()).limit(1).collect()
-    if not rows:
+    top = curve[curve["rank"] <= k]
+    if top.empty:
         return {"k": k, "precision": 0.0, "recall": 0.0, "f1": 0.0, "tp": 0}
-    r = rows[0]
+    r = top.iloc[-1]
     tp = int(r["tp"])
     precision = tp / k
     recall = float(r["recall"])
@@ -65,9 +58,10 @@ def metrics_at_k(curve: DataFrame, k: int) -> dict:
     return {"k": k, "precision": precision, "recall": recall, "f1": f1, "tp": tp}
 
 
-def best_f1(curve: DataFrame) -> dict:
-    """Rank with the highest F1 on the curve (paper §5.3 reports it)."""
-    r = curve.orderBy(F.col("f1").desc(), F.col("rank").asc()).limit(1).collect()[0]
+def best_f1(curve: pd.DataFrame) -> dict:
+    """Rank with the highest F1 on the curve (paper §5.3 reports it);
+    the lowest such rank on ties."""
+    r = curve.loc[curve["f1"].idxmax()]
     return {
         "k": int(r["rank"]),
         "precision": float(r["precision"]),
@@ -77,15 +71,8 @@ def best_f1(curve: DataFrame) -> dict:
     }
 
 
-def hits_in_topk(curve: DataFrame, k: int, targets: DataFrame | list) -> int:
+def hits_in_topk(curve: pd.DataFrame, k: int, targets: Iterable[str]) -> int:
     """How many of ``targets`` (labels) rank in the top ``k`` — the
     Table 2 / Table 3 measure for injected homographs."""
-    top = curve.where(F.col("rank") <= k).select("label")
-    if isinstance(targets, list):
-        spark = curve.sparkSession
-        import pandas as pd
-
-        targets = spark.createDataFrame(
-            pd.DataFrame({"label": list(targets)}), schema="label string"
-        )
-    return top.join(targets.select("label").distinct(), on="label").count()
+    top = curve.loc[curve["rank"] <= k, "label"]
+    return int(top.isin(set(targets)).sum())

@@ -1,9 +1,9 @@
 """CSR adjacency substrate for the graph kernels.
 
 The DomainNet graphs at reproduction scale (10^4–10^6 nodes) fit
-comfortably in driver memory as two int arrays; the CSR is built from the
-Spark ``edges`` DataFrame, broadcast to executors, and indexed by the
-dense node ids assigned in :mod:`repro.core.graph`.
+comfortably in driver memory as two int arrays. :mod:`repro.core.graph`
+builds the CSR once on the driver, indexed by its dense node ids; BC
+broadcasts it to executors and LCC reads it in place.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ class CSR:
     """Undirected adjacency in compressed-sparse-row form.
 
     ``indptr`` has length ``n + 1``; neighbors of node ``u`` are
-    ``indices[indptr[u]:indptr[u + 1]]``. Every undirected edge is stored
-    in both directions.
+    ``indices[indptr[u]:indptr[u + 1]]``, in ascending id order. Every
+    undirected edge is stored in both directions.
     """
 
     indptr: np.ndarray
@@ -40,17 +40,34 @@ class CSR:
         return np.diff(self.indptr)
 
 
+def expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
+    """All (src, neighbor) pairs for edges leaving ``frontier`` nodes."""
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    offs = np.arange(total, dtype=np.int64) - np.repeat(counts.cumsum() - counts, counts)
+    idx = np.repeat(starts, counts) + offs
+    return np.repeat(frontier, counts), indices[idx]
+
+
 def csr_from_arrays(src: np.ndarray, dst: np.ndarray, n: int) -> CSR:
     """Build a CSR from one-direction edge endpoint arrays (each edge
-    listed once; both directions are added here)."""
+    listed once; both directions are added here).
+
+    Each row's neighbors are sorted by id (repeated pairs are kept as
+    parallel edges), so the CSR depends only on the edge multiset, not on
+    the order the edges arrive in.
+    """
     u = np.concatenate([src, dst]).astype(np.int64, copy=False)
     v = np.concatenate([dst, src]).astype(np.int64, copy=False)
-    order = np.argsort(u, kind="stable")
-    u, v = u[order], v[order]
+    order = np.lexsort((v, u))
     counts = np.bincount(u, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return CSR(indptr=indptr, indices=v)
+    return CSR(indptr=indptr, indices=v[order])
 
 
 def csr_from_edges(edges: DataFrame, n: int) -> CSR:

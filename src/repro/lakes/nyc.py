@@ -43,7 +43,7 @@ def attribute_induced_subgraph(
     compact.
     """
     rng = np.random.default_rng(seed)
-    attrs = edges["attr_id"].unique()
+    attrs = np.unique(edges["attr_id"])  # sorted: independent of row order
     rng.shuffle(attrs)
     by_attr = edges.groupby("attr_id")
     sizes = by_attr.size()

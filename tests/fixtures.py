@@ -1,10 +1,16 @@
-"""Shared test fixtures: the paper's Figure 1 running example.
+"""Shared test fixtures: the paper's Figure 1 running example, and
+random bipartite graphs for the networkx oracles.
 
 ``FIGURE1_TABLES`` reconstructs the four tables of the paper (donors,
 zoos, car imports, corporate sales); ``EXAMPLE31_TABLES`` restricts to
 the four attributes of Example 3.1 (T2.name, T1.At Risk, T4.Name,
 T3.C2), the subgraph on which the paper quotes exact LCC scores.
 """
+import numpy as np
+from hypothesis import strategies as st
+
+from repro.core.graph import BipartiteGraph
+from repro.graph.csr import csr_from_arrays
 
 #: full Figure 1 lake: {table: {column: [values]}}.
 FIGURE1_TABLES = {
@@ -46,3 +52,20 @@ EXAMPLE36_LCC = {
     "TOYOTA": (0.5 + 1 / 3 + 0.5 + 0.5) / 4,  # 0.458…
     "PANDA": (0.5 + 0.5 + 1 / 3 + 0.5) / 4,  # 0.458…
 }
+
+
+@st.composite
+def bipartite_graphs(draw, max_values: int = 12, max_attrs: int = 6):
+    """A :class:`BipartiteGraph` with distinct random value–attribute
+    edges, built without Spark. Values may be isolated; attributes too."""
+    n_values = draw(st.integers(1, max_values))
+    n_attrs = draw(st.integers(1, max_attrs))
+    pairs = draw(st.sets(
+        st.tuples(st.integers(0, n_values - 1), st.integers(0, n_attrs - 1)),
+        max_size=n_values * n_attrs,
+    ))
+    v = np.array([p[0] for p in pairs], dtype=np.int64)
+    a = np.array([p[1] for p in pairs], dtype=np.int64)
+    n = n_values + n_attrs
+    labels = np.array([f"N{i:03d}" for i in range(n)], dtype=object)
+    return BipartiteGraph(labels, n_values, csr_from_arrays(v, n_values + a, n))

@@ -165,14 +165,3 @@ def test_sample_sources_capped_at_n():
     csr = _path(4)
     assert len(sample_sources(csr, 100, seed=0)) == 4
 
-
-def test_sample_sources_degree_weighted_prefers_hubs():
-    # star K1,20: the center should almost always be sampled.
-    csr = csr_from_arrays(np.zeros(20, int), np.arange(1, 21), 21)
-    # center holds half the total degree → expected hit rate ≈ 76% over
-    # two draws; uniform sampling would give ≈ 9.5%.
-    hits = sum(
-        0 in sample_sources(csr, 2, seed=seed, degree_weighted=True).tolist()
-        for seed in range(50)
-    )
-    assert hits > 25

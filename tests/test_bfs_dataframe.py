@@ -1,19 +1,18 @@
-"""The Pregel-style DataFrame BFS must agree with the CSR kernel on
-distances and shortest-path counts (sigma)."""
+"""The level-synchronous BFS that drives the Brandes kernel must agree
+with networkx on distances and shortest-path counts (sigma) from each
+source of the Example 3.1 graph."""
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.core.graph import build_graph
-from repro.graph.bfs_dataframe import bfs_sssp, symmetric_edges
-from repro.graph.csr import csr_from_edges
+from repro.graph.csr import expand
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES
 
 
 def _kernel_bfs(csr, source):
     """dist/sigma via the same level-sync logic used in Brandes."""
-    from repro.core.betweenness import _expand
-
     n = csr.n
     dist = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n)
@@ -22,7 +21,7 @@ def _kernel_bfs(csr, source):
     frontier = np.array([source])
     d = 0
     while frontier.size:
-        srcs, nbrs = _expand(csr.indptr, csr.indices, frontier)
+        srcs, nbrs = expand(csr.indptr, csr.indices, frontier)
         new = np.unique(nbrs[dist[nbrs] == -1])
         dist[new] = d + 1
         on = dist[nbrs] == d + 1
@@ -39,34 +38,16 @@ def g31(spark):
     )
 
 
-def test_symmetric_edges_double(spark, g31):
-    assert symmetric_edges(g31.edges).count() == 2 * g31.n_edges
-
-
 @pytest.mark.parametrize("source", [0, 3, 7, 11])
-def test_bfs_matches_kernel(spark, g31, source):
-    csr = csr_from_edges(g31.edges, g31.n_nodes)
-    dist, sigma = _kernel_bfs(csr, source)
-    out = {r["node"]: (r["dist"], r["sigma"]) for r in bfs_sssp(spark, g31.edges, source).collect()}
-    reached = {i for i in range(csr.n) if dist[i] >= 0}
-    assert set(out) == reached
-    for node, (d, s) in out.items():
-        assert d == dist[node]
-        assert s == pytest.approx(sigma[node])
+def test_bfs_matches_kernel(g31, source):
+    g = nx.Graph()
+    g.add_nodes_from(range(g31.n_nodes))
+    g.add_edges_from(g31.edge_frame().itertuples(index=False))
+    want_dist = nx.single_source_shortest_path_length(g, source)
 
-
-def test_bfs_source_row(spark, g31):
-    out = bfs_sssp(spark, g31.edges, 0).where("node = 0").collect()
-    assert len(out) == 1
-    assert out[0]["dist"] == 0 and out[0]["sigma"] == 1.0
-
-
-def test_bfs_unreachable_excluded(spark):
-    # lake with two disconnected attribute communities
-    lake = lake_from_tables(
-        spark,
-        {"A": {"x": ["a", "b"]}, "B": {"y": ["c", "d"]}},
-    )
-    g = build_graph(lake, prune_unique=False)
-    out = bfs_sssp(spark, g.edges, 0)
-    assert out.count() == 3  # a's component: {a, b, A.x}
+    dist, sigma = _kernel_bfs(g31.csr, source)
+    assert {u for u in range(g31.n_nodes) if dist[u] >= 0} == set(want_dist)
+    for node, d in want_dist.items():
+        assert dist[node] == d
+        n_paths = sum(1 for _ in nx.all_shortest_paths(g, source, node))
+        assert sigma[node] == pytest.approx(n_paths)

@@ -48,10 +48,22 @@ def test_csr_from_edges_matches_graph(spark):
     csr = csr_from_edges(g.edges, g.n_nodes)
     assert csr.n == 12
     assert csr.n_undirected_edges == 14
-    # value-node degrees equal attribute counts
-    degs = {r.node_id: r.degree for r in g.value_degrees().collect()}
-    for node_id, deg in degs.items():
-        assert len(csr.neighbors(node_id)) == deg
+    # the Spark edges view round-trips to the graph's own CSR
+    assert np.array_equal(csr.indptr, g.csr.indptr)
+    assert np.array_equal(csr.indices, g.csr.indices)
+
+
+def test_neighbors_sorted_and_order_free():
+    rng = np.random.default_rng(2)
+    src = rng.integers(0, 15, 60)
+    dst = rng.integers(0, 15, 60)
+    csr = csr_from_arrays(src, dst, 15)
+    perm = rng.permutation(60)
+    again = csr_from_arrays(dst[perm], src[perm], 15)
+    assert np.array_equal(csr.indptr, again.indptr)
+    assert np.array_equal(csr.indices, again.indices)
+    for u in range(15):
+        assert (np.diff(csr.neighbors(u)) >= 0).all()
 
 
 def test_degrees_sum_to_twice_edges():

@@ -1,13 +1,20 @@
 """LCC tests (repro.core.lcc) — including the paper's Example 3.6 exact
-values and a full DuckDB-oracle re-derivation of the measure in SQL."""
+values, networkx's Latapy clustering as an oracle on random bipartite
+graphs, and a full DuckDB-oracle re-derivation of the measure in SQL."""
+from unittest.mock import patch
+
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
 from pyspark.sql import functions as F
 
+from repro.core import lcc
 from repro.core.graph import build_graph
-from repro.core.lcc import lcc_scores
+from repro.core.lcc import lcc_scores, lcc_values
 from repro.lakes.datalake import lake_from_tables
 from repro.oracle import assert_equivalent
-from tests.fixtures import EXAMPLE31_TABLES, EXAMPLE36_LCC
+from tests.fixtures import EXAMPLE31_TABLES, EXAMPLE36_LCC, bipartite_graphs
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +26,7 @@ def g31(spark):
 
 @pytest.fixture(scope="module")
 def lcc31(g31):
-    scores = lcc_scores(g31).join(g31.value_nodes(), on="node_id")
-    return {r.label: r.lcc for r in scores.collect()}
+    return dict(zip(g31.value_labels, lcc_values(g31)))
 
 
 @pytest.mark.parametrize("label,expected", sorted(EXAMPLE36_LCC.items()))
@@ -49,12 +55,35 @@ def test_isolated_value_filled_with_one(spark):
         spark, {"A": {"x": ["solo"]}, "B": {"y": ["a", "b"], "z": ["a", "b"]}}
     )
     g = build_graph(lake, prune_unique=False)
-    scores = lcc_scores(g).join(g.value_nodes(), on="node_id")
-    got = {r.label: r.lcc for r in scores.collect()}
+    got = dict(zip(g.value_labels, lcc_values(g)))
     assert got["SOLO"] == 1.0
     # a and b share both attributes: Jaccard 1 → LCC 1.
     assert got["A"] == pytest.approx(1.0)
     assert got["B"] == pytest.approx(1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs())
+def test_lcc_matches_networkx_latapy(graph):
+    """Equation (1) is Latapy's bipartite clustering (mode "dot"); values
+    without a value-neighbor keep the documented 1.0 fill."""
+    got = lcc_values(graph)
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n_nodes))
+    g.add_edges_from(graph.edge_frame().itertuples(index=False))
+    ref = nx.bipartite.latapy_clustering(g, range(graph.n_values), mode="dot")
+    for u in range(graph.n_values):
+        has_neighbor = any(w != u for a in g[u] for w in g[a])
+        assert got[u] == pytest.approx(ref[u] if has_neighbor else 1.0, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(bipartite_graphs())
+def test_lcc_blocks_agree(graph):
+    """Blocks of one value each give the same scores as one block."""
+    whole = lcc_values(graph)
+    with patch.object(lcc, "BLOCK_PATHS", 1):
+        assert np.array_equal(lcc_values(graph), whole)
 
 
 def test_lcc_oracle_sql(spark, g31):

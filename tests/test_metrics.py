@@ -1,4 +1,6 @@
-"""Tests for repro.eval.metrics (top-k curves, P/R/F1)."""
+"""Tests for repro.eval.metrics (top-k curves, P/R/F1). The ``scored``
+fixture is a Spark DataFrame, which ``topk_curve`` collects; the tie and
+empty-truth tests pass pandas frames."""
 import pandas as pd
 import pytest
 
@@ -18,18 +20,18 @@ def scored(spark):
 
 
 def test_curve_ranks_descending(scored):
-    curve = topk_curve(scored, score_col="score").toPandas()
+    curve = topk_curve(scored, score_col="score")
     assert list(curve.label) == ["a", "b", "c", "d", "e", "f"]
     assert list(curve["rank"]) == [1, 2, 3, 4, 5, 6]
 
 
 def test_curve_ascending_flag(scored):
-    curve = topk_curve(scored, score_col="score", ascending=True).toPandas()
+    curve = topk_curve(scored, score_col="score", ascending=True)
     assert list(curve.label) == ["f", "e", "d", "c", "b", "a"]
 
 
 def test_cumulative_precision_recall(scored):
-    curve = topk_curve(scored, score_col="score").toPandas().set_index("rank")
+    curve = topk_curve(scored, score_col="score").set_index("rank")
     assert curve.loc[1, "precision"] == 1.0
     assert curve.loc[3, "precision"] == pytest.approx(2 / 3)
     assert curve.loc[4, "precision"] == pytest.approx(3 / 4)
@@ -38,7 +40,7 @@ def test_cumulative_precision_recall(scored):
 
 
 def test_f1_definition(scored):
-    curve = topk_curve(scored, score_col="score").toPandas().set_index("rank")
+    curve = topk_curve(scored, score_col="score").set_index("rank")
     p, r = curve.loc[3, "precision"], curve.loc[3, "recall"]
     assert curve.loc[3, "f1"] == pytest.approx(2 * p * r / (p + r))
 
@@ -77,7 +79,7 @@ def test_hits_in_topk(scored):
     assert hits_in_topk(curve, 6, ["nope"]) == 0
 
 
-def test_tie_broken_by_label(spark):
+def test_tie_broken_by_label():
     pdf = pd.DataFrame(
         {
             "label": ["z", "y"],
@@ -85,14 +87,14 @@ def test_tie_broken_by_label(spark):
             "is_homograph": [False, True],
         }
     )
-    curve = topk_curve(spark.createDataFrame(pdf), score_col="score").toPandas()
+    curve = topk_curve(pdf, score_col="score")
     assert list(curve.label) == ["y", "z"]
 
 
-def test_empty_truth_zero_recall(spark):
+def test_empty_truth_zero_recall():
     pdf = pd.DataFrame(
         {"label": ["a"], "score": [1.0], "is_homograph": [False]}
     )
-    curve = topk_curve(spark.createDataFrame(pdf), score_col="score")
+    curve = topk_curve(pdf, score_col="score")
     m = metrics_at_k(curve, 1)
     assert m["precision"] == 0.0 and m["recall"] == 0.0 and m["f1"] == 0.0

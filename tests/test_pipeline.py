@@ -2,7 +2,7 @@
 running example and a small SB instance — the integration layer."""
 import pytest
 
-from repro.core.pipeline import rank_homographs, value_scores
+from repro.core.pipeline import rank_graph, rank_homographs
 from repro.core.graph import build_graph
 from repro.eval.metrics import metrics_at_k, topk_curve
 from repro.lakes.datalake import lake_from_tables
@@ -32,7 +32,7 @@ def test_unknown_measure_raises(spark):
     lake = lake_from_tables(spark, EXAMPLE31_TABLES)
     g = build_graph(lake, prune_unique=False)
     with pytest.raises(ValueError, match="unknown measure"):
-        value_scores(spark, g, measure="pagerank")
+        rank_graph(spark, g, measure="pagerank")
 
 
 def test_prune_shrinks_candidates(spark):
@@ -55,7 +55,7 @@ def sb_bc_curve(spark, sb_small):
     scored = ranked.withColumn(
         "is_homograph", ranked.label.isin(list(homs))
     )
-    return topk_curve(scored, score_col="bc").cache()
+    return topk_curve(scored, score_col="bc")
 
 
 def test_sb_bc_finds_most_homographs(sb_bc_curve):
