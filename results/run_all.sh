@@ -1,5 +1,5 @@
 set -x
-cd /root/repo
+cd "$(dirname "$0")/.."
 export PYSPARK_SUBMIT_ARGS="--master local[*] --driver-memory 12g --conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false --conf spark.ui.showConsoleProgress=false pyspark-shell"
 python jobs/table1_stats.py --sb-scale 1.0 --tus-sf 1.0 --nyc-sf 0.3 > results/table1.txt 2> results/table1.err
 python jobs/sb_top55.py --scale 1.0 > results/sb_top55.txt 2> results/sb_top55.err

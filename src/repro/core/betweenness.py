@@ -6,22 +6,23 @@ source-sampling estimator used by the paper's Networkit setup: run
 Brandes from ``s`` sampled sources and scale the summed dependencies by
 ``n / s``, which is unbiased for uniform sampling.
 
-Distribution: Brandes is embarrassingly parallel over sources. The
-graph's CSR adjacency, already on the driver, is broadcast, a
-DataFrame of source ids is fanned out with ``mapInPandas`` (each task
-runs the numpy kernel for its sources and emits its partial dependency
-vector sparsely), and partials are reduced with ``groupBy(node_id).sum``.
+Distribution: Brandes is embarrassingly parallel over sources. One
+Spark job maps :data:`CHUNKS` fixed, contiguous source chunks over the
+broadcast CSR to partial dependency vectors; the driver adds them in
+chunk order, so scores are bit-identical whatever the cluster's shape.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graph.csr import CSR, expand
+
+#: Source chunks per BC call; each is one partial vector on the driver.
+CHUNKS = 16
 
 
 def brandes_dependencies(
@@ -64,6 +65,16 @@ def brandes_dependencies(
     return delta
 
 
+def dependency_sum(
+    indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int]
+) -> np.ndarray:
+    """Summed :func:`brandes_dependencies` of ``sources``, in source order."""
+    acc = np.zeros(len(indptr) - 1, dtype=np.float64)
+    for s in sources:
+        acc += brandes_dependencies(indptr, indices, int(s))
+    return acc
+
+
 def betweenness_exact(csr: CSR, *, normalized: bool = True) -> np.ndarray:
     """Exact BC for every node (single-process reference kernel).
 
@@ -71,9 +82,7 @@ def betweenness_exact(csr: CSR, *, normalized: bool = True) -> np.ndarray:
     undirected-graph Brandes convention); ``normalized`` divides by
     ``(n - 1)(n - 2)`` so scores are comparable across graph sizes.
     """
-    bc = np.zeros(csr.n, dtype=np.float64)
-    for s in range(csr.n):
-        bc += brandes_dependencies(csr.indptr, csr.indices, s)
+    bc = dependency_sum(csr.indptr, csr.indices, range(csr.n))
     return _normalize(bc, csr.n) if normalized else bc
 
 
@@ -83,7 +92,7 @@ def sample_sources(csr: CSR, n_samples: int, *, seed: int = 0) -> np.ndarray:
     return rng.choice(csr.n, size=min(n_samples, csr.n), replace=False)
 
 
-def betweenness_spark(
+def betweenness_values(
     spark: SparkSession,
     csr: CSR,
     *,
@@ -91,9 +100,9 @@ def betweenness_spark(
     n_samples: int | None = None,
     seed: int = 0,
     normalized: bool = True,
-    parallelism: int | None = None,
-) -> DataFrame:
-    """Distributed (approximate or exact) BC: ``(node_id, bc)``.
+) -> np.ndarray:
+    """Distributed (approximate or exact) BC of every node, indexed by
+    node id.
 
     ``sources=None, n_samples=None`` runs every node (exact BC).
     With ``n_samples`` the estimator scales by ``n / s`` so sampled and
@@ -106,31 +115,31 @@ def betweenness_spark(
             sources = sample_sources(csr, n_samples, seed=seed)
     sources = np.asarray(list(sources), dtype=np.int64)
     n, s = csr.n, len(sources)
-    scale = 1.0 if s in (0, n) else n / s
+    chunks = np.array_split(sources, min(CHUNKS, max(1, s)))
     sc = spark.sparkContext
     bcast = sc.broadcast((csr.indptr, csr.indices))
-    parallelism = parallelism or sc.defaultParallelism
-
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        indptr, indices = bcast.value
-        acc = np.zeros(len(indptr) - 1, dtype=np.float64)
-        for pdf in batches:
-            for src in pdf["src"].to_numpy():
-                acc += brandes_dependencies(indptr, indices, int(src))
-        nz = np.flatnonzero(acc)
-        yield pd.DataFrame({"node_id": nz, "partial": acc[nz]})
-
-    src_df = spark.createDataFrame(
-        pd.DataFrame({"src": sources}), schema="src long"
-    ).repartition(min(parallelism, max(1, s)))
-    partials = src_df.mapInPandas(compute, schema="node_id long, partial double")
-    agg = partials.groupBy("node_id").agg(
-        (F.sum("partial") * F.lit(float(scale))).alias("bc")
+    # More tasks than cores only adds scheduling cost; a task runs its
+    # chunks one by one, each still a partial of its own.
+    partials = (
+        sc.parallelize(chunks, min(len(chunks), sc.defaultParallelism))
+        .map(lambda chunk: dependency_sum(*bcast.value, chunk))
+        .collect()
     )
-    if normalized:
-        denom = float((n - 1) * (n - 2)) if n > 2 else 1.0
-        agg = agg.withColumn("bc", F.col("bc") / F.lit(denom))
-    return agg
+    bcast.destroy()
+    bc = sum(partials, np.zeros(n))
+    if s:
+        bc *= n / s
+    return _normalize(bc, n) if normalized else bc
+
+
+def betweenness_spark(spark: SparkSession, csr: CSR, **kwargs) -> DataFrame:
+    """:func:`betweenness_values`, which takes the same arguments, as a
+    Spark DataFrame ``(node_id, bc)`` of the nodes with nonzero BC."""
+    bc = betweenness_values(spark, csr, **kwargs)
+    nz = np.flatnonzero(bc)
+    return spark.createDataFrame(
+        pd.DataFrame({"node_id": nz, "bc": bc[nz]}), schema="node_id long, bc double"
+    )
 
 
 def _normalize(bc: np.ndarray, n: int) -> np.ndarray:

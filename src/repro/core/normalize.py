@@ -16,9 +16,9 @@ ATTR_COL = "attr"
 
 def norm_value(col: Column) -> Column:
     """Catalyst expression implementing the paper's normalization:
-    cast to string, trim surrounding whitespace (all of it — ``trim``
-    alone only strips ASCII spaces), upper-case."""
-    return F.upper(F.regexp_replace(col.cast("string"), r"^\s+|\s+$", ""))
+    cast to string, trim surrounding Unicode whitespace (``(?U)``; U+FEFF
+    is not whitespace and stays), upper-case."""
+    return F.upper(F.regexp_replace(col.cast("string"), r"(?U)^\s+|\s+$", ""))
 
 
 def attr_id(table_col: Column, col_col: Column) -> Column:

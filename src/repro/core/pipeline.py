@@ -7,17 +7,17 @@
 ``measure="bc"`` is betweenness centrality (exact when
 ``n_samples=None``, source-sampled otherwise); ``measure="lcc"`` is the
 bipartite local clustering coefficient. Steps 2 and 3 run on the driver
-over the graph's arrays, apart from BC's fan-out over sources.
+over the graph's arrays, apart from BC's one Spark job over sources.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.betweenness import betweenness_spark
+from repro.core.betweenness import betweenness_values
 from repro.core.graph import BipartiteGraph, build_graph
 from repro.core.lcc import lcc_values
-from repro.core.ranking import MEASURE_ASCENDING, label_scores, rank_frame
+from repro.core.ranking import MEASURE_ASCENDING, rank_frame
 
 
 def rank_graph(
@@ -31,14 +31,14 @@ def rank_graph(
     """``(label, <measure>, rank)`` for every value node of ``graph``, in
     rank order; rank 1 = strongest homograph candidate."""
     if measure == "bc":
-        bc = betweenness_spark(spark, graph.csr, n_samples=n_samples, seed=seed)
-        pdf = bc.toPandas()
-        # A node the sparse reducer does not emit has zero centrality.
-        labeled = label_scores(graph, pdf["node_id"], pdf["bc"], score_col="bc")
+        scores = betweenness_values(spark, graph.csr, n_samples=n_samples, seed=seed)
     elif measure == "lcc":
-        labeled = pd.DataFrame({"label": graph.value_labels, "lcc": lcc_values(graph)})
+        scores = lcc_values(graph)
     else:
         raise ValueError(f"unknown measure {measure!r} (expected 'bc' or 'lcc')")
+    labeled = pd.DataFrame(
+        {"label": graph.value_labels, measure: scores[: graph.n_values]}
+    )
     return rank_frame(labeled, score_col=measure, ascending=MEASURE_ASCENDING[measure])
 
 

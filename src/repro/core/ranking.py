@@ -1,9 +1,9 @@
 """Score ranking (paper Fig. 4 step 3).
 
-Pairs value nodes' scores with their labels and orders them in the
-measure's homograph direction — BC descending, LCC ascending — with one
-sort by (score, label) on the driver. ``attach_labels`` and
-``rank_values`` wrap the same steps for Spark DataFrames.
+Orders value nodes' labelled scores in the measure's homograph
+direction — BC descending, LCC ascending — with one sort by (score,
+label) on the driver. ``attach_labels`` labels a Spark score frame and
+``rank_values`` ranks one, for callers in Spark.
 """
 import numpy as np
 import pandas as pd
@@ -13,18 +13,6 @@ from repro.core.graph import BipartiteGraph
 
 #: Per-measure sort direction: True = ascending = homographs first.
 MEASURE_ASCENDING = {"bc": False, "lcc": True}
-
-
-def label_scores(
-    graph: BipartiteGraph, node_ids, scores, *, score_col: str, fill: float = 0.0
-) -> pd.DataFrame:
-    """``(label, score)`` for every value node of the graph. Value nodes
-    absent from ``node_ids`` get ``fill``; attribute nodes are dropped."""
-    node_ids = np.asarray(node_ids, dtype=np.int64)
-    is_value = node_ids < graph.n_values
-    out = np.full(graph.n_values, float(fill))
-    out[node_ids[is_value]] = np.asarray(scores, dtype=np.float64)[is_value]
-    return pd.DataFrame({"label": graph.value_labels, score_col: out})
 
 
 def rank_frame(labeled: pd.DataFrame, *, score_col: str, ascending: bool) -> pd.DataFrame:
@@ -40,13 +28,16 @@ def rank_frame(labeled: pd.DataFrame, *, score_col: str, ascending: bool) -> pd.
 def attach_labels(
     graph: BipartiteGraph, scores: DataFrame, *, score_col: str, fill: float = 0.0
 ) -> DataFrame:
-    """:func:`label_scores` for a Spark ``(node_id, <score_col>)`` frame."""
+    """``(label, <score_col>)`` for every value node of the graph, from a
+    Spark ``(node_id, <score_col>)`` frame. Value nodes absent from it get
+    ``fill``; attribute nodes are dropped."""
     pdf = scores.select("node_id", score_col).toPandas()
-    labeled = label_scores(
-        graph, pdf["node_id"], pdf[score_col], score_col=score_col, fill=fill
-    )
+    pdf = pdf[pdf["node_id"] < graph.n_values]
+    out = np.full(graph.n_values, float(fill))
+    out[pdf["node_id"].to_numpy(np.int64)] = pdf[score_col].to_numpy(np.float64)
     return scores.sparkSession.createDataFrame(
-        labeled, schema=f"label string, {score_col} double"
+        pd.DataFrame({"label": graph.value_labels, score_col: out}),
+        schema=f"label string, {score_col} double",
     )
 
 

@@ -15,7 +15,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.d4 import discover_domains
-from repro.core.betweenness import brandes_dependencies, sample_sources
+from repro.core.betweenness import dependency_sum, sample_sources
 from repro.core.graph import build_graph
 from repro.core.pipeline import rank_graph
 from repro.eval.metrics import best_f1, hits_in_topk, metrics_at_k, topk_curve
@@ -279,9 +279,7 @@ def scalability_subgraphs(
         # benchmark scale; it is measured separately in Fig. 8's sweep.
         srcs = sample_sources(csr, s, seed=seed)
         t0 = time.perf_counter()
-        acc = np.zeros(csr.n)
-        for src in srcs:
-            acc += brandes_dependencies(csr.indptr, csr.indices, int(src))
+        dependency_sum(csr.indptr, csr.indices, srcs)
         dt = time.perf_counter() - t0
         rows.append((csr.n, csr.n_undirected_edges, len(srcs), dt))
         print(f"subgraph edges={csr.n_undirected_edges}: approx-BC {dt:.2f}s")

@@ -1,9 +1,16 @@
-"""Distributed-BC tests: the Spark fan-out must agree exactly with the
+"""Distributed-BC tests: the Spark job must agree exactly with the
 single-process kernel, and the sampled estimator must behave."""
 import numpy as np
 import pytest
 
-from repro.core.betweenness import betweenness_exact, betweenness_spark
+from repro.core.betweenness import (
+    CHUNKS,
+    betweenness_exact,
+    betweenness_spark,
+    betweenness_values,
+    dependency_sum,
+    sample_sources,
+)
 from repro.core.graph import build_graph
 from repro.graph.csr import csr_from_arrays, csr_from_edges
 from repro.lakes.datalake import lake_from_tables
@@ -95,11 +102,34 @@ def test_figure1_subgraph_bc_ordering(spark):
         assert bc[labels[v]] == pytest.approx(0.0)
 
 
-def test_parallelism_param_stable(spark):
+@pytest.mark.parametrize("n_samples", [None, 25])
+def test_chunked_sum_bit_identical(spark, n_samples):
+    """The Spark job adds the same chunk partials in the same order as a
+    single process, so BC does not depend on the cluster's task count."""
     csr = _random_csr(seed=8)
-    a = _collect(betweenness_spark(spark, csr, parallelism=1), csr.n)
-    b = _collect(betweenness_spark(spark, csr, parallelism=8), csr.n)
-    assert np.allclose(a, b, atol=1e-12)
+    if n_samples is None:
+        sources = np.arange(csr.n)
+    else:
+        sources = sample_sources(csr, n_samples, seed=2)
+    got = betweenness_values(
+        spark, csr, n_samples=n_samples, seed=2, normalized=False
+    )
+    ref = np.zeros(csr.n)
+    for chunk in np.array_split(sources, min(CHUNKS, len(sources))):
+        ref += dependency_sum(csr.indptr, csr.indices, chunk)
+    assert np.array_equal(got, ref * (csr.n / len(sources)))
+
+
+def test_one_spark_job(spark):
+    """A BC call is one Spark job: no shuffle stage, no second collect."""
+    sc = spark.sparkContext
+    sc.setJobGroup("test_one_spark_job", "one BC call")
+    try:
+        betweenness_values(spark, _random_csr(seed=10), n_samples=20)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup("test_one_spark_job")) == 1
 
 
 def test_empty_sources_yields_empty(spark):

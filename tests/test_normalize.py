@@ -7,6 +7,19 @@ from repro.core.normalize import ATTR_COL, VALUE_COL, normalize_cells
 from repro.oracle import assert_equivalent
 
 
+#: Values padded with Unicode White_Space beyond ASCII, and one with
+#: U+FEFF, which is not whitespace: Python's ``str.strip`` is the reference.
+UNICODE_PADDED = [
+    "\u00a0JAGUAR\u00a0",
+    "\u3000JAGUAR",
+    "JAGUAR\u2003",
+    "\u0085\u1680Puma\u2028\u2029",
+    "\u2000\u200aa b\u202f\u205f",
+    "\x0b\x0ccr\r",
+    "\ufeffJAGUAR",
+]
+
+
 def _cells(spark, values):
     pdf = pd.DataFrame(
         {"table_id": "T", "col_id": "c", "value": values}
@@ -25,14 +38,15 @@ def _cells(spark, values):
         (".", "."),
         ("NA", "NA"),
         ("already UPPER", "ALREADY UPPER"),
-    ],
+    ]
+    + [(raw, raw.strip().upper()) for raw in UNICODE_PADDED],
 )
 def test_norm_value_cases(spark, raw, expected):
     out = normalize_cells(_cells(spark, [raw])).collect()
     assert [r[VALUE_COL] for r in out] == [expected]
 
 
-@pytest.mark.parametrize("raw", [None, "", "   ", "\t\n"])
+@pytest.mark.parametrize("raw", [None, "", "   ", "\t\n", "\u00a0\u3000"])
 def test_null_and_empty_dropped(spark, raw):
     assert normalize_cells(_cells(spark, [raw])).count() == 0
 

@@ -1,6 +1,10 @@
 """End-to-end pipeline tests (repro.core.pipeline) on the paper's
-running example and a small SB instance — the integration layer."""
+running example, degenerate lakes, random small lakes against networkx,
+and a small SB instance — the integration layer."""
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pipeline import rank_graph, rank_homographs
 from repro.core.graph import build_graph
@@ -41,6 +45,78 @@ def test_prune_shrinks_candidates(spark):
     g_pruned, ranked = rank_homographs(spark, lake, measure="bc", prune_unique=True)
     assert g_pruned.n_values < g_full.n_values
     assert ranked.count() == g_pruned.n_values
+
+
+#: ``{name: (tables, whether the ranking holds the one value X)}``.
+DEGENERATE_LAKES = {
+    "empty": ({}, False),
+    "all-pruned": ({"t": {"a": ["x"], "b": ["y"]}}, False),
+    "one-homograph": ({"t": {"a": ["x"], "b": ["x"]}}, True),
+}
+
+
+@pytest.mark.parametrize(
+    "measure,n_samples,x_score",
+    [("bc", None, 1.0), ("bc", 0, 0.0), ("bc", 1000, 1.0), ("lcc", None, 1.0)],
+)
+@pytest.mark.parametrize("lake", DEGENERATE_LAKES)
+def test_degenerate_lakes(spark, lake, measure, n_samples, x_score):
+    """X on the path t.a – X – t.b lies on both ordered attribute pairs'
+    only path (BC 1.0 normalized; 0.0 from no sources) and has no value
+    neighbour (LCC fill 1.0)."""
+    tables, has_x = DEGENERATE_LAKES[lake]
+    _, ranked = rank_homographs(
+        spark, lake_from_tables(spark, tables), measure=measure, n_samples=n_samples
+    )
+    got = [tuple(r) for r in ranked.orderBy("rank").collect()]
+    assert got == ([("X", x_score, 1)] if has_x else [])
+
+
+@st.composite
+def small_lakes(draw):
+    """``{table: {column: [values]}}`` over a few values, some cased or
+    padded differently so that normalization merges them."""
+    token = st.sampled_from(["a", "b", "c", "d", "e", " A", "b\u00a0", "\u3000C", ""])
+    table = st.dictionaries(
+        st.sampled_from(["c1", "c2", "c3"]), st.lists(token, max_size=5), min_size=1
+    )
+    return draw(st.dictionaries(st.sampled_from(["t1", "t2", "t3"]), table, min_size=1))
+
+
+def _nx_scores(tables) -> tuple[dict, dict]:
+    """networkx BC and Latapy LCC per value label of the pruned graph,
+    normalizing with Python's ``str.strip().upper()``."""
+    attrs_of = {}
+    for t, cols in tables.items():
+        for c, vals in cols.items():
+            for v in filter(None, (v.strip().upper() for v in vals)):
+                attrs_of.setdefault(v, set()).add(f"{t}.{c}")
+    g = nx.Graph()
+    g.add_nodes_from(("a", a) for attrs in attrs_of.values() for a in attrs)
+    values = [("v", v) for v, attrs in attrs_of.items() if len(attrs) >= 2]
+    g.add_edges_from((v, ("a", a)) for v in values for a in attrs_of[v[1]])
+    bc = nx.betweenness_centrality(g, normalized=True)
+    lcc = nx.bipartite.latapy_clustering(g, values, mode="dot")
+    has_neighbor = {v: any(w != v for a in g[v] for w in g[a]) for v in values}
+    return (
+        {v: bc[(k, v)] for k, v in values},
+        {v: lcc[(k, v)] if has_neighbor[(k, v)] else 1.0 for k, v in values},
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_lakes())
+def test_scores_match_networkx(spark, tables):
+    """Lake cells → normalize → graph → score → rank agrees with networkx
+    on the same graph: BC with ``betweenness_centrality``, LCC with
+    ``latapy_clustering(mode="dot")`` and the 1.0 fill."""
+    lake = lake_from_tables(spark, tables)
+    for measure, ref in zip(("bc", "lcc"), _nx_scores(tables)):
+        _, ranked = rank_homographs(spark, lake, measure=measure)
+        got = dict(ranked.select("label", measure).toPandas().itertuples(index=False))
+        assert got.keys() == ref.keys()
+        for label, score in ref.items():
+            assert got[label] == pytest.approx(score, rel=0, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
