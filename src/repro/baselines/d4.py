@@ -17,13 +17,17 @@ mechanisms the paper's comparison exercises (DESIGN.md substitution 6):
 3. **Expansion**: values occurring nowhere else join the column's
    dominant local domain (D4's signature-based expansion analogue).
 4. **Strong domains**: local domains are merged across columns when
-   their value sets agree (Jaccard ≥ ``merge_threshold``); merged groups
-   need support from ≥ ``min_support`` columns and internal agreement
-   (mean pairwise Jaccard ≥ ``robustness``) to survive. Columns of
+   their value sets agree (Jaccard ≥ ``MERGE_THRESHOLD``); merged groups
+   need support from ≥ ``MIN_SUPPORT`` columns and internal agreement
+   (mean pairwise Jaccard ≥ ``ROBUSTNESS``) to survive. Columns of
    large open vocabularies rarely agree → D4's coverage gap.
 
 Homograph detection à la the paper: a value assigned to ≥2 strong
 domains is reported as a homograph.
+
+Spark produces the lake's distinct incidences and the driver collects
+them once; everything above runs in pandas and Python over them, sorted
+by ``(attr, value)`` so that the domains do not depend on lake row order.
 """
 from __future__ import annotations
 
@@ -32,14 +36,25 @@ from itertools import combinations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.graph import incidences
 from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.graph.unionfind import UnionFind
 
 _NUMERIC_RE = r"^[0-9.,\-+ %$]*[0-9][0-9.,\-+ %$]*$"
+#: a column whose numeric-looking share reaches this is not a string column.
+NUMERIC_CUTOFF = 0.5
+#: signature Jaccard at which two value classes join one local domain.
+SIG_THRESHOLD = 0.4
+#: value-set Jaccard at which two local domains merge.
+MERGE_THRESHOLD = 0.5
+#: columns a merged domain needs to become a strong domain.
+MIN_SUPPORT = 2
+#: mean pairwise Jaccard a merged domain's local domains need.
+ROBUSTNESS = 0.25
+#: seed of the ≤200-pair sample behind the robustness check.
+SAMPLE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -79,42 +94,19 @@ class D4Result:
         return int(per_col.max()), float(per_col.mean())
 
 
-def discover_domains(
-    spark: SparkSession,
-    cells: DataFrame,
-    *,
-    merge_threshold: float = 0.5,
-    min_support: int = 2,
-    robustness: float = 0.25,
-    numeric_cutoff: float = 0.5,
-    seed: int = 0,
-) -> D4Result:
-    """Run D4-lite over a lake. Spark computes the incidences and the
-    numeric-column filter; component formation runs on the driver (the
+def discover_domains(cells: DataFrame) -> D4Result:
+    """Run D4-lite over a lake. Spark computes the incidences; the
+    numeric-column filter and component formation run on the driver (the
     original D4 is a single-node Java program)."""
-    inc = incidences(cells).cache()
-    col_kind = (
-        inc.groupBy(ATTR_COL)
-        .agg(
-            F.avg(F.col(VALUE_COL).rlike(_NUMERIC_RE).cast("double")).alias(
-                "numeric_frac"
-            )
-        )
-        .toPandas()
+    # Sorted so grouping, tie-breaks and the robustness sample below do
+    # not follow lake row order.
+    inc = incidences(cells).toPandas().sort_values(
+        [ATTR_COL, VALUE_COL], ignore_index=True
     )
-    string_attrs = sorted(
-        col_kind.loc[col_kind["numeric_frac"] < numeric_cutoff, ATTR_COL]
-    )
-    memb = (
-        inc.join(
-            spark.createDataFrame(
-                pd.DataFrame({ATTR_COL: string_attrs}), schema=f"{ATTR_COL} string"
-            ),
-            on=ATTR_COL,
-        )
-        .toPandas()
-    )
-    inc.unpersist()
+    numeric = inc[VALUE_COL].str.contains(_NUMERIC_RE)
+    numeric_frac = numeric.groupby(inc[ATTR_COL]).mean()
+    string_attrs = sorted(numeric_frac.index[numeric_frac < NUMERIC_CUTOFF])
+    memb = inc[inc[ATTR_COL].isin(string_attrs)]
 
     # value → frozenset of string columns containing it (its "context
     # signature" at column granularity — D4's equivalence classes).
@@ -126,12 +118,11 @@ def discover_domains(
     # --- step 2+3: local domains per column ---------------------------
     # Values of a column are first grouped into equivalence classes by
     # identical column-membership signature; classes are then clustered
-    # single-link by signature Jaccard ≥ sig_threshold (each class is
+    # single-link by signature Jaccard ≥ ``SIG_THRESHOLD`` (each class is
     # compared against the largest already-seen classes — D4's robust-
     # signature pruning analogue). A homograph whose signature mixes
     # foreign columns into the column's core fails the threshold and
     # splinters into its own local domain.
-    sig_threshold = 0.4
     local_domains: list[tuple[str, frozenset]] = []  # (attr, values)
     for attr in string_attrs:
         values = by_col.get(attr, [])
@@ -152,7 +143,7 @@ def discover_domains(
             uf.find(sig)
             for other in anchors[:30]:  # compare against dominant classes
                 inter = len(sig & other)
-                if inter and inter / len(sig | other) >= sig_threshold:
+                if inter and inter / len(sig | other) >= SIG_THRESHOLD:
                     uf.union(sig, other)
             anchors.append(sig)
         comp_vals = [
@@ -181,19 +172,19 @@ def discover_domains(
     for i, j in pairs:
         a, b = local_domains[i][1], local_domains[j][1]
         inter = len(a & b)
-        if inter and inter / (len(a) + len(b) - inter) >= merge_threshold:
+        if inter and inter / (len(a) + len(b) - inter) >= MERGE_THRESHOLD:
             uf.union(i, j)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     domains: dict[int, frozenset] = {}
     assign_rows = []
     next_id = 0
     for members in uf.groups(range(len(local_domains))).values():
         attrs = {local_domains[i][0] for i in members}
-        if len(attrs) < min_support:
+        if len(attrs) < MIN_SUPPORT:
             continue
         sets = [local_domains[i][1] for i in members]
-        if len(sets) > 1 and robustness > 0:
+        if len(sets) > 1:
             cand = list(combinations(range(len(sets)), 2))
             if len(cand) > 200:
                 idx = rng.choice(len(cand), size=200, replace=False)
@@ -201,7 +192,7 @@ def discover_domains(
             jac = [
                 len(sets[i] & sets[j]) / len(sets[i] | sets[j]) for i, j in cand
             ]
-            if float(np.mean(jac)) < robustness:
+            if float(np.mean(jac)) < ROBUSTNESS:
                 continue
         domain_vals = frozenset().union(*sets)
         domains[next_id] = domain_vals

@@ -5,9 +5,9 @@ normalized value ``v`` occurs in attribute ``a``. Each distinct value is
 one node no matter how many attributes it occurs in.
 
 ``build_graph`` is the system's one collect boundary: Spark normalizes
-the cells and groups the distinct incidences by value in one shuffle;
-one Arrow collect brings them to the driver, which holds the graph as
-numpy arrays from then on:
+the cells and keeps the distinct incidences in one shuffle
+(:func:`incidences`); one Arrow collect brings them to the driver, which
+prunes and holds the graph as numpy arrays from then on:
 
 - ``labels``: node id → label. Value nodes take ids ``[0, n_values)``,
   attribute nodes the rest, each in label (code point) order — Spark's
@@ -26,7 +26,6 @@ from functools import cached_property
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.normalize import ATTR_COL, VALUE_COL, normalize_cells
 from repro.graph.csr import CSR, csr_from_arrays
@@ -74,7 +73,9 @@ class BipartiteGraph:
 
 
 def incidences(cells: DataFrame) -> DataFrame:
-    """Distinct normalized ``(attr, value)`` incidences of a lake."""
+    """Distinct normalized ``(attr, value)`` incidences of a lake — the one
+    Spark aggregation of a lake. Graph construction, Definition-2 truth,
+    TUS-I injection and D4 each collect it once and finish on the driver."""
     return normalize_cells(cells).select(ATTR_COL, VALUE_COL).distinct()
 
 
@@ -84,24 +85,16 @@ def build_graph(cells: DataFrame, *, prune_unique: bool = True) -> BipartiteGrap
     ``prune_unique`` drops value nodes whose degree is 1 (they cannot be
     homographs — paper §5). Attribute nodes are kept even if all their
     values were pruned, so attribute ids do not depend on the prune
-    setting: a pruned value is collected as its attribute with a NULL
-    value.
+    setting.
     """
-    by_value = normalize_cells(cells).groupBy(VALUE_COL).agg(
-        F.collect_set(ATTR_COL).alias("attrs")
-    )
-    value = F.col(VALUE_COL)
-    if prune_unique:
-        value = F.when(F.size("attrs") >= 2, value)
-    pdf = by_value.select(
-        F.explode("attrs").alias(ATTR_COL), value.alias(VALUE_COL)
-    ).toPandas()
-
+    pdf = incidences(cells).toPandas()
     attrs, attr_idx = np.unique(pdf[ATTR_COL].to_numpy(object), return_inverse=True)
-    kept = pdf[VALUE_COL].notna().to_numpy()
-    values, value_idx = np.unique(
-        pdf[VALUE_COL].to_numpy(object)[kept], return_inverse=True
-    )
+    values = pdf[VALUE_COL].to_numpy(object)
+    if prune_unique:
+        _, value_idx = np.unique(values, return_inverse=True)
+        kept = np.bincount(value_idx)[value_idx] >= 2
+        values, attr_idx = values[kept], attr_idx[kept]
+    values, value_idx = np.unique(values, return_inverse=True)
     n_values = len(values)
-    csr = csr_from_arrays(value_idx, n_values + attr_idx[kept], n_values + len(attrs))
+    csr = csr_from_arrays(value_idx, n_values + attr_idx, n_values + len(attrs))
     return BipartiteGraph(np.concatenate([values, attrs]), n_values, csr)

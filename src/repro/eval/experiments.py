@@ -39,11 +39,8 @@ def table1_stats(
 
     tus = tus_lake(spark, sf=tus_sf, seed=seed)
     s = lake_stats(tus.cells)
-    n_hom = (
-        definition2_truth(spark, tus.cells, tus.column_domains(spark))
-        .where("is_homograph")
-        .count()
-    )
+    truth = definition2_truth(tus.cells, tus.column_domains(spark))
+    n_hom = int(truth["is_homograph"].sum())
     rows.append(("TUS-lite", s["n_tables"], s["n_attrs"], s["n_values"], n_hom))
 
     clean, _ = remove_homographs(spark, tus)
@@ -83,7 +80,7 @@ def sb_top55(
         )
         out[measure] = metrics_at_k(curve, k)
 
-    res = discover_domains(spark, sb.cells)
+    res = discover_domains(sb.cells)
     detected = set(res.homographs())
     tp = len(detected & homs)
     out["d4"] = {
@@ -199,7 +196,7 @@ def tus_topk(
 ) -> dict:
     """Top-k precision/recall/F1 on TUS-lite with its natural homographs."""
     lake = tus_lake(spark, sf=sf, seed=seed)
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark)).toPandas()
+    truth = definition2_truth(lake.cells, lake.column_domains(spark))
     ranked = rank_graph(
         spark, build_graph(lake.cells), measure="bc", n_samples=n_samples, seed=seed
     )
@@ -232,7 +229,7 @@ def scalability_samples(
 ) -> pd.DataFrame:
     """Precision@#homographs and wall-clock vs BC sample count (Fig. 8)."""
     lake = tus_lake(spark, sf=sf, seed=seed)
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark)).toPandas()
+    truth = definition2_truth(lake.cells, lake.column_domains(spark))
     n_hom = int(truth["is_homograph"].sum())
     graph = build_graph(lake.cells, prune_unique=True)
     rows = []
@@ -305,14 +302,14 @@ def d4_impact(
         for n_inj in injections:
             if n_inj == 0:
                 if base is None:
-                    base = discover_domains(spark, clean)
+                    base = discover_domains(clean)
                 res = base
             else:
                 cells = inject_homographs(
                     spark, clean, cd, n=n_inj, meanings=m,
                     min_cardinality=0, seed=seed + n_inj + m,
                 ).cells
-                res = discover_domains(spark, cells)
+                res = discover_domains(cells)
             mx, avg = res.domains_per_column()
             rows.append((m, n_inj, res.n_domains, mx, avg))
             print(

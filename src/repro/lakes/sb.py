@@ -117,13 +117,6 @@ class SBLake:
     homographs: list[str]
     columns: pd.DataFrame = field(repr=False)  # (table_id, col_id, category)
 
-    def truth_df(self, spark: SparkSession) -> DataFrame:
-        """``(label, is_homograph)`` over the planted ground truth."""
-        return spark.createDataFrame(
-            pd.DataFrame({"label": self.homographs, "is_homograph": True}),
-            schema="label string, is_homograph boolean",
-        )
-
 
 def _vocab(category: str, scale: float) -> np.ndarray:
     """Synthetic token vocabulary of a category (homographs excluded)."""

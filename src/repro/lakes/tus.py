@@ -20,7 +20,9 @@ generates the same structure synthetically:
 
 Ground truth follows Definition 2: a value is a homograph iff it occurs
 in at least two columns that are **not** unionable (different source
-domains) — computed from the *realized* lake, not the planting plan.
+domains) — computed from the *realized* lake, not the planting plan:
+Spark produces the lake's distinct incidences, and the driver labels
+them in pandas against the column → domain table it already holds.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.core.graph import incidences
@@ -210,19 +211,15 @@ def tus_lake(
     return TUSLake(cells=cells, columns=columns, planted=sorted(planted))
 
 
-def definition2_truth(
-    spark: SparkSession, cells: DataFrame, column_domains: DataFrame
-) -> DataFrame:
+def definition2_truth(cells: DataFrame, column_domains: DataFrame) -> pd.DataFrame:
     """Definition 2 labeling: ``(label, is_homograph)`` for every distinct
-    value, computed from realized incidences.
+    value, computed on the driver from the lake's collected incidences.
 
     A value is a homograph iff it appears in ≥2 columns belonging to
     different unionability classes (source domains).
     """
-    inc = incidences(cells)
-    return (
-        inc.join(column_domains, on=ATTR_COL)
-        .groupBy(F.col(VALUE_COL).alias("label"))
-        .agg(F.countDistinct("domain").alias("n_domains"))
-        .select("label", (F.col("n_domains") >= 2).alias("is_homograph"))
+    inc = incidences(cells).toPandas().merge(column_domains.toPandas(), on=ATTR_COL)
+    n_domains = inc.groupby(VALUE_COL)["domain"].nunique()
+    return pd.DataFrame(
+        {"label": n_domains.index, "is_homograph": n_domains.to_numpy() >= 2}
     )

@@ -9,6 +9,13 @@ occurrence of each picked value with a fresh token
 ``INJECTEDHOMOGRAPH<k>`` — so the injected token has exactly ``m``
 meanings and its BC behaviour can be studied as a function of the
 cardinality threshold (Table 2) and of ``m`` (Table 3).
+
+Both steps collect the lake's incidences once and decide on the driver,
+in pandas: the Definition-2 labels and the eligible ``(domain, value)``
+pairs. Spark only rewrites the cells, with a join against a broadcast
+of the driver's picks (the homographs to drop, the values to replace).
+The eligible pairs are sorted before the seeded draws, so a plan depends
+on the seed and the lake's content, not on its row order.
 """
 from __future__ import annotations
 
@@ -26,18 +33,21 @@ from repro.lakes.tus import TUSLake, definition2_truth
 
 def remove_homographs(
     spark: SparkSession, lake: TUSLake
-) -> tuple[DataFrame, DataFrame]:
+) -> tuple[DataFrame, pd.DataFrame]:
     """Drop every Definition-2 homograph from the lake.
 
-    Returns ``(clean_cells, truth)`` where ``truth`` is the labeling that
-    was applied. After this step the lake contains only single-meaning
-    values (the paper's TUS-I starting point).
+    Returns ``(clean_cells, truth)`` where ``truth`` is the pandas
+    labeling that was applied. After this step the lake contains only
+    single-meaning values (the paper's TUS-I starting point).
     """
-    truth = definition2_truth(spark, lake.cells, lake.column_domains(spark))
-    homs = truth.where("is_homograph").select(F.col("label").alias(VALUE_COL))
+    truth = definition2_truth(lake.cells, lake.column_domains(spark))
+    homs = truth.loc[truth["is_homograph"], ["label"]]
+    homs = spark.createDataFrame(
+        homs.rename(columns={"label": VALUE_COL}), schema=f"{VALUE_COL} string"
+    )
     cleaned = (
         lake.cells.withColumn(VALUE_COL, norm_value(F.col("value")))
-        .join(homs, on=VALUE_COL, how="left_anti")
+        .join(F.broadcast(homs), on=VALUE_COL, how="left_anti")
         .select("table_id", "col_id", F.col(VALUE_COL).alias("value"))
     )
     return cleaned, truth
@@ -74,21 +84,24 @@ def inject_homographs(
     token, lake-wide. Raises if the lake cannot supply enough distinct
     eligible (domain, value) picks.
     """
-    inc = incidences(cells)
-    card = inc.groupBy(ATTR_COL).agg(F.count("*").alias("cardinality"))
+    inc = incidences(cells).toPandas()
+    inc["cardinality"] = inc.groupby(ATTR_COL)[VALUE_COL].transform("size")
+    inc = inc.merge(column_domains.toPandas(), on=ATTR_COL)
+    value = inc[VALUE_COL].str
     eligible = (
-        inc.join(card, on=ATTR_COL)
-        .join(column_domains, on=ATTR_COL)
-        .where(F.col("cardinality") >= int(min_cardinality))
-        .where(F.length(VALUE_COL) >= 3)
-        .where(~F.col(VALUE_COL).rlike(r"^[0-9.,\- ]+$"))
-        .select("domain", VALUE_COL)
-        .distinct()
-        .toPandas()
+        inc.loc[
+            (inc["cardinality"] >= min_cardinality)
+            & (value.len() >= 3)
+            & ~value.fullmatch(r"[0-9.,\- ]+"),
+            ["domain", VALUE_COL],
+        ]
+        .drop_duplicates()
+        # Sorted so the seeded draws below do not follow lake row order.
+        .sort_values(["domain", VALUE_COL])
     )
     rng = np.random.default_rng(seed)
     pools = {
-        d: list(rng.permutation(g[VALUE_COL].unique()))
+        d: list(rng.permutation(g[VALUE_COL].to_numpy()))
         for d, g in eligible.groupby("domain")
     }
     used: set[str] = set()

@@ -1,5 +1,5 @@
-"""Shared test fixtures: the paper's Figure 1 running example, and
-random bipartite graphs for the networkx oracles.
+"""Shared test fixtures: the paper's Figure 1 running example, random
+bipartite graphs for the networkx oracles, and row-shuffled lakes.
 
 ``FIGURE1_TABLES`` reconstructs the four tables of the paper (donors,
 zoos, car imports, corporate sales); ``EXAMPLE31_TABLES`` restricts to
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.graph import BipartiteGraph
 from repro.graph.csr import csr_from_arrays
+from repro.lakes.datalake import CELLS_SCHEMA
 
 #: full Figure 1 lake: {table: {column: [values]}}.
 FIGURE1_TABLES = {
@@ -69,3 +70,12 @@ def bipartite_graphs(draw, max_values: int = 12, max_attrs: int = 6):
     n = n_values + n_attrs
     labels = np.array([f"N{i:03d}" for i in range(n)], dtype=object)
     return BipartiteGraph(labels, n_values, csr_from_arrays(v, n_values + a, n))
+
+
+def shuffled(spark, cells, seed: int):
+    """The same lake with its rows in a seeded random order."""
+    pdf = cells.toPandas()
+    order = np.random.default_rng(seed).permutation(len(pdf))
+    return spark.createDataFrame(
+        pdf.iloc[order].reset_index(drop=True), schema=CELLS_SCHEMA
+    )

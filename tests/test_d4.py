@@ -4,6 +4,8 @@ import pytest
 
 from repro.baselines.d4 import D4Result, discover_domains
 from repro.lakes.datalake import lake_from_tables
+from repro.lakes.tus import tus_lake
+from tests.fixtures import shuffled
 
 
 def _two_domain_lake(spark):
@@ -21,14 +23,14 @@ def _two_domain_lake(spark):
 
 
 def test_clean_lake_two_domains(spark):
-    res = discover_domains(spark, _two_domain_lake(spark))
+    res = discover_domains(_two_domain_lake(spark))
     assert res.n_domains == 2
     sizes = sorted(len(v) for v in res.domains.values())
     assert sizes == [20, 20]
 
 
 def test_clean_lake_no_homographs(spark):
-    res = discover_domains(spark, _two_domain_lake(spark))
+    res = discover_domains(_two_domain_lake(spark))
     assert res.homographs() == []
 
 
@@ -43,7 +45,7 @@ def test_shared_value_in_both_domains_detected(spark):
             "T3": {"a": animals, "x": cars},
         },
     )
-    res = discover_domains(spark, lake)
+    res = discover_domains(lake)
     assert res.n_domains == 2
     assert res.homographs() == ["JAGUAR"]
 
@@ -56,7 +58,7 @@ def test_numeric_columns_excluded(spark):
             "T2": {"a": [f"v{i}" for i in range(10)], "n": [str(i) for i in range(10)]},
         },
     )
-    res = discover_domains(spark, lake)
+    res = discover_domains(lake)
     assert set(res.string_attrs) == {"T1.a", "T2.a"}
     assert res.n_domains == 1
 
@@ -70,7 +72,7 @@ def test_min_support_coverage_gap(spark):
             "T2": {"a": [f"v{i}" for i in range(10)]},
         },
     )
-    res = discover_domains(spark, lake)
+    res = discover_domains(lake)
     assert res.n_domains == 1
     covered = set(res.column_domains.attr)
     assert "T1.solo" not in covered
@@ -85,7 +87,7 @@ def test_low_overlap_columns_not_merged(spark):
             "T2": {"a": [f"v{i}" for i in range(8, 40)]},
         },
     )
-    res = discover_domains(spark, lake)
+    res = discover_domains(lake)
     assert res.n_domains == 0
 
 
@@ -102,16 +104,25 @@ def test_injected_singleton_becomes_own_domain(spark):
             "T3": {"a": animals, "x": cars},
         },
     )
-    res = discover_domains(spark, lake)
+    res = discover_domains(lake)
     assert res.n_domains == 3
     assert frozenset(["HOMO"]) in set(res.domains.values())
 
 
 def test_domains_per_column_stats(spark):
-    res = discover_domains(spark, _two_domain_lake(spark))
+    res = discover_domains(_two_domain_lake(spark))
     mx, avg = res.domains_per_column()
     assert mx == 1
     assert avg == pytest.approx(1.0)
+
+
+def test_domains_independent_of_row_order(spark):
+    # Planted multi-domain tokens give value classes of equal size, so the
+    # tie-breaks between them must not follow the collect order.
+    cells = tus_lake(spark, sf=0.08, seed=4).cells
+    a, b = discover_domains(cells), discover_domains(shuffled(spark, cells, 5))
+    assert a.domains == b.domains
+    pd.testing.assert_frame_equal(a.column_domains, b.column_domains)
 
 
 def test_empty_result_api():

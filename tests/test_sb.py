@@ -91,12 +91,6 @@ def test_scale_grows_lake(spark):
     assert large > small
 
 
-def test_truth_df(spark, sb):
-    truth = sb.truth_df(spark)
-    assert truth.count() == 55
-    assert truth.where("is_homograph").count() == 55
-
-
 def test_columns_metadata_matches_tables(sb):
     assert len(sb.columns) == 39
     assert set(sb.columns.table_id) == set(_TABLES)

@@ -19,7 +19,7 @@ def lake(spark):
 
 @pytest.fixture(scope="module")
 def truth(spark, lake):
-    return definition2_truth(spark, lake.cells, lake.column_domains(spark)).cache()
+    return definition2_truth(lake.cells, lake.column_domains(spark))
 
 
 def test_columns_metadata_covers_cells(spark, lake):
@@ -36,7 +36,7 @@ def test_every_column_single_domain(lake):
 def test_definition2_truth_oracle(spark, lake, truth):
     inc = incidences(lake.cells)
     assert_equivalent(
-        truth,
+        spark.createDataFrame(truth),
         """
         SELECT value AS label,
                COUNT(DISTINCT domain) >= 2 AS is_homograph
@@ -51,12 +51,12 @@ def test_definition2_truth_oracle(spark, lake, truth):
 def test_planted_realize_as_homographs(spark, lake, truth):
     planted = set(lake.planted)
     assert planted, "generator should plant homographs at this sf"
-    hom = {r.label for r in truth.where("is_homograph").collect()}
+    hom = set(truth.label[truth.is_homograph])
     assert planted <= hom
 
 
 def test_numeric_collisions_exist(spark, lake, truth):
-    hom = truth.where("is_homograph").toPandas().label
+    hom = truth.label[truth.is_homograph]
     numeric_homs = hom[hom.str.fullmatch(r"[0-9]+")]
     assert len(numeric_homs) > 0
 
@@ -89,8 +89,8 @@ def test_no_planted_without_request(spark):
 
 def test_clean_lake_homographs_only_numeric(spark):
     clean = tus_lake(spark, sf=0.03, seed=3, n_planted=0, null_marker=False)
-    t = definition2_truth(spark, clean.cells, clean.column_domains(spark))
-    homs = t.where("is_homograph").toPandas().label
+    t = definition2_truth(clean.cells, clean.column_domains(spark))
+    homs = t.label[t.is_homograph]
     assert homs.str.fullmatch(r"[0-9]+").all()
 
 

@@ -1,4 +1,5 @@
 """Tests for homograph removal + injection (repro.lakes.tus_inject, §4.3)."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -7,6 +8,7 @@ from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.lakes.datalake import attribute_cardinalities
 from repro.lakes.tus import definition2_truth, tus_lake
 from repro.lakes.tus_inject import inject_homographs, remove_homographs
+from tests.fixtures import shuffled
 
 SF = 0.08
 
@@ -28,23 +30,16 @@ def col_domains(spark, lake):
 
 
 def test_removal_leaves_no_homographs(spark, lake, clean, col_domains):
-    residual = (
-        definition2_truth(spark, clean, col_domains).where("is_homograph").count()
-    )
+    residual = definition2_truth(clean, col_domains).is_homograph.sum()
     assert residual == 0
 
 
 def test_removal_only_drops_homographs(spark, lake, clean, col_domains):
-    before = incidences(lake.cells)
+    before = incidences(lake.cells).toPandas()
     after = incidences(clean)
-    truth = definition2_truth(spark, lake.cells, col_domains)
-    n_hom_incidences = (
-        before.join(
-            truth.where("is_homograph").select(F.col("label").alias(VALUE_COL)),
-            on=VALUE_COL,
-        ).count()
-    )
-    assert before.count() - after.count() == n_hom_incidences
+    truth = definition2_truth(lake.cells, col_domains)
+    n_hom_incidences = before[VALUE_COL].isin(truth.label[truth.is_homograph]).sum()
+    assert len(before) - after.count() == n_hom_incidences
 
 
 def test_injected_tokens_have_exact_meanings(spark, clean, col_domains):
@@ -84,8 +79,8 @@ def test_injected_are_new_definition2_homographs(spark, clean, col_domains):
     inj = inject_homographs(
         spark, clean, col_domains, n=6, meanings=2, min_cardinality=0, seed=4
     )
-    truth = definition2_truth(spark, inj.cells, col_domains)
-    homs = {r.label for r in truth.where("is_homograph").collect()}
+    truth = definition2_truth(inj.cells, col_domains)
+    homs = set(truth.label[truth.is_homograph])
     assert set(inj.injected) <= homs
 
 
@@ -133,3 +128,11 @@ def test_deterministic_in_seed(spark, clean, col_domains):
     a = inject_homographs(spark, clean, col_domains, n=3, meanings=2, seed=9)
     b = inject_homographs(spark, clean, col_domains, n=3, meanings=2, seed=9)
     assert a.plan.equals(b.plan)
+
+
+def test_plan_independent_of_row_order(spark, clean, col_domains):
+    a = inject_homographs(spark, clean, col_domains, n=5, meanings=2, seed=1)
+    b = inject_homographs(
+        spark, shuffled(spark, clean, 11), col_domains, n=5, meanings=2, seed=1
+    )
+    pd.testing.assert_frame_equal(a.plan, b.plan)
