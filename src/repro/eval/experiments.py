@@ -1,13 +1,22 @@
 """Experiment harnesses — one function per paper table/figure (§5).
 
 Each harness returns plain pandas/dict results and prints the same rows
-the paper reports, so ``jobs/*`` can run them at full reproduction scale
-and ``benchmarks/*`` at benchmark scale. Thresholds that the paper
-states in absolute value terms (column cardinalities) scale linearly
-with the TUS-lite scale factor.
+the paper reports. Its defaults are the settings behind ``results/``;
+``benchmarks/*`` and the tests call it at smaller scale. Thresholds that
+the paper states in absolute value terms (column cardinalities) scale
+linearly with the TUS-lite scale factor.
+
+Regenerate the captured outputs, one ``results/<name>.txt`` each::
+
+    python -m repro.eval.experiments [name ...]
+
+runs the named experiments of :data:`EXPERIMENTS` (all of them, in
+order, when none is named). ``PYSPARK_SUBMIT_ARGS`` picks the master
+and driver memory, as for any pyspark program.
 """
 from __future__ import annotations
 
+import argparse
 import time
 
 import numpy as np
@@ -29,7 +38,7 @@ from repro.lakes.tus_inject import inject_homographs, remove_homographs
 # --------------------------------------------------------------- Table 1
 def table1_stats(
     spark: SparkSession, *, sb_scale: float = 1.0, tus_sf: float = 1.0,
-    nyc_sf: float = 0.1, seed: int = 0,
+    nyc_sf: float = 0.3, seed: int = 0,
 ) -> pd.DataFrame:
     """Dataset statistics: #tables, #attrs, #values, #homographs."""
     rows = []
@@ -103,55 +112,58 @@ def sb_top55(
 
 
 # ------------------------------------------------------ Tables 2 and 3
-def _injection_run(
-    spark, clean_cells, col_domains, *, n, meanings, min_cardinality,
-    n_samples, seed,
-) -> float:
-    """One injection run → fraction of injected tokens in the top-n."""
-    inj = inject_homographs(
-        spark, clean_cells, col_domains, n=n, meanings=meanings,
-        min_cardinality=min_cardinality, seed=seed,
-    )
-    ranked = rank_graph(
-        spark, build_graph(inj.cells), measure="bc", n_samples=n_samples, seed=seed
-    )
-    curve = topk_curve(
-        ranked.assign(is_homograph=ranked.label.isin(inj.injected)),
-        score_col="bc",
-    )
-    return hits_in_topk(curve, n, inj.injected) / n
-
-
 def _clean_tus(spark, sf, seed):
+    """TUS-lite, its homograph-free TUS-I cells and its column domains,
+    the last two cached for repeated injection."""
     lake = tus_lake(spark, sf=sf, seed=seed)
     clean, _ = remove_homographs(spark, lake)
     clean = clean.cache()
     clean.count()
-    return lake, clean
+    return lake, clean, lake.column_domains(spark).cache()
+
+
+def _injection_sweep(spark, *, sf, n, runs, n_samples, seed, settings):
+    """For each ``(meanings, min_cardinality, run_seed)`` of ``settings``,
+    yield the % of ``n`` homographs injected into TUS-I that rank in the
+    BC top-``n``, averaged over ``runs`` injections seeded
+    ``run_seed + r``."""
+    _, clean, cd = _clean_tus(spark, sf, seed)
+    for meanings, min_cardinality, run_seed in settings:
+        hits = []
+        for r in range(runs):
+            inj = inject_homographs(
+                spark, clean, cd, n=n, meanings=meanings,
+                min_cardinality=min_cardinality, seed=run_seed + r,
+            )
+            ranked = rank_graph(
+                spark, build_graph(inj.cells), measure="bc",
+                n_samples=n_samples, seed=run_seed + r,
+            )
+            curve = topk_curve(
+                ranked.assign(is_homograph=ranked.label.isin(inj.injected)),
+                score_col="bc",
+            )
+            hits.append(hits_in_topk(curve, n, inj.injected) / n)
+        yield 100 * float(np.mean(hits))
 
 
 def table2_cardinality(
     spark: SparkSession, *, sf: float = 1.0, n: int = 50, runs: int = 4,
     thresholds: tuple = (0, 100, 200, 300, 400, 500),
-    n_samples: int = 2000, seed: int = 0,
+    n_samples: int = 1500, seed: int = 0,
 ) -> pd.DataFrame:
     """% of ``n`` injected homographs (2 meanings) in the top-``n`` by BC
     vs the attribute-cardinality threshold of the replaced values.
     Thresholds are scaled by ``sf`` (column sizes scale with sf)."""
-    lake, clean = _clean_tus(spark, sf, seed)
-    cd = lake.column_domains(spark).cache()
+    scaled = [int(round(thr * sf)) for thr in thresholds]
+    pcts = _injection_sweep(
+        spark, sf=sf, n=n, runs=runs, n_samples=n_samples, seed=seed,
+        settings=[(2, c, seed * 1000 + thr) for thr, c in zip(thresholds, scaled)],
+    )
     rows = []
-    for thr in thresholds:
-        scaled = int(round(thr * sf))
-        hits = [
-            _injection_run(
-                spark, clean, cd, n=n, meanings=2, min_cardinality=scaled,
-                n_samples=n_samples, seed=seed * 1000 + thr + r,
-            )
-            for r in range(runs)
-        ]
-        rows.append((thr, scaled, 100 * float(np.mean(hits)), runs))
-        print(f"card ≥ {thr} (scaled {scaled}): {rows[-1][2]:.1f}% in top-{n}")
+    for thr, c, pct in zip(thresholds, scaled, pcts):
+        rows.append((thr, c, pct, runs))
+        print(f"card ≥ {thr} (scaled {c}): {pct:.1f}% in top-{n}")
     return pd.DataFrame(
         rows, columns=["threshold", "scaled_threshold", "pct_in_topn", "runs"]
     )
@@ -160,24 +172,19 @@ def table2_cardinality(
 def table3_meanings(
     spark: SparkSession, *, sf: float = 1.0, n: int = 50, runs: int = 4,
     meanings: tuple = (2, 3, 4, 5, 6, 7, 8), min_cardinality: int = 500,
-    n_samples: int = 2000, seed: int = 0,
+    n_samples: int = 1500, seed: int = 0,
 ) -> pd.DataFrame:
     """% of injected homographs in the top-``n`` vs number of meanings,
     with replaced values from attributes of cardinality ≥ 500·sf."""
-    lake, clean = _clean_tus(spark, sf, seed)
-    cd = lake.column_domains(spark).cache()
     scaled = int(round(min_cardinality * sf))
+    pcts = _injection_sweep(
+        spark, sf=sf, n=n, runs=runs, n_samples=n_samples, seed=seed,
+        settings=[(m, scaled, seed * 1000 + 37 * m) for m in meanings],
+    )
     rows = []
-    for m in meanings:
-        hits = [
-            _injection_run(
-                spark, clean, cd, n=n, meanings=m, min_cardinality=scaled,
-                n_samples=n_samples, seed=seed * 1000 + 37 * m + r,
-            )
-            for r in range(runs)
-        ]
-        rows.append((m, 100 * float(np.mean(hits)), runs))
-        print(f"meanings = {m}: {rows[-1][1]:.1f}% in top-{n}")
+    for m, pct in zip(meanings, pcts):
+        rows.append((m, pct, runs))
+        print(f"meanings = {m}: {pct:.1f}% in top-{n}")
     return pd.DataFrame(rows, columns=["meanings", "pct_in_topn", "runs"])
 
 
@@ -191,7 +198,7 @@ def with_truth(labeled: pd.DataFrame, truth: pd.DataFrame) -> pd.DataFrame:
 
 # --------------------------------------------- §5.3: TUS top-k (Fig. 7)
 def tus_topk(
-    spark: SparkSession, *, sf: float = 1.0, n_samples: int = 2000,
+    spark: SparkSession, *, sf: float = 1.0, n_samples: int = 3000,
     seed: int = 0, ks: tuple = (100, 200, 500, 1000, 2000),
 ) -> dict:
     """Top-k precision/recall/F1 on TUS-lite with its natural homographs."""
@@ -228,6 +235,7 @@ def scalability_samples(
     sample_sizes: tuple = (250, 500, 1000, 2000, 4000),
 ) -> pd.DataFrame:
     """Precision@#homographs and wall-clock vs BC sample count (Fig. 8)."""
+    print("== Fig 8 analogue: precision/time vs sample size (TUS-lite) ==")
     lake = tus_lake(spark, sf=sf, seed=seed)
     truth = definition2_truth(lake.cells, lake.column_domains(spark))
     n_hom = int(truth["is_homograph"].sum())
@@ -246,12 +254,13 @@ def scalability_samples(
 
 
 def scalability_subgraphs(
-    spark: SparkSession, *, sf: float = 0.1, seed: int = 0,
+    spark: SparkSession, *, sf: float = 0.3, seed: int = 0,
     edge_targets: tuple = (20_000, 50_000, 100_000, 200_000),
     sample_frac: float | None = None, n_sources: int = 100,
 ) -> pd.DataFrame:
     """Approx-BC runtime vs subgraph size on the NYC-scale lake (Fig. 9);
     also reports the Spark graph-construction time (§5.4)."""
+    print("== Fig 9 analogue: approx-BC runtime vs subgraph size (NYC) ==")
     lake = nyc_lake(spark, sf=sf, seed=seed)
     t0 = time.perf_counter()
     graph = build_graph(lake.cells, prune_unique=True)
@@ -293,8 +302,7 @@ def d4_impact(
 ) -> pd.DataFrame:
     """Number of D4 domains (and per-column stats) as injected homographs
     increase (Fig. 10)."""
-    lake, clean = _clean_tus(spark, sf, seed)
-    cd = lake.column_domains(spark).cache()
+    lake, clean, cd = _clean_tus(spark, sf, seed)
     n_true = lake.columns["domain"].nunique()
     rows = []
     base = None  # the 0-injection run is shared across meaning settings
@@ -321,3 +329,52 @@ def d4_impact(
     )
     out.attrs["true_domains"] = n_true
     return out
+
+
+# ------------------------------------------------------ the entry point
+#: ``results/<name>.txt`` stem → the harnesses that print it, in order.
+EXPERIMENTS = {
+    "table1": (table1_stats,),
+    "sb_top55": (sb_top55,),
+    "tus_topk": (tus_topk,),
+    "table2": (table2_cardinality,),
+    "table3": (table3_meanings,),
+    "scalability": (scalability_samples, scalability_subgraphs),
+    "d4_impact": (d4_impact,),
+}
+
+SHUFFLE_PARTITIONS = 64
+
+
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(
+        prog="python -m repro.eval.experiments",
+        description="Run §5 experiments at their recorded settings.",
+    )
+    ap.add_argument(
+        "names", nargs="*", metavar="name",
+        help=f"one of {', '.join(EXPERIMENTS)} (default: all, in that order)",
+    )
+    names = ap.parse_args(argv).names or list(EXPERIMENTS)
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        ap.error(f"unknown experiment(s): {', '.join(unknown)}")
+    # The test session's settings, so results here match what tests check.
+    spark = (
+        SparkSession.builder.appName("repro-experiments")
+        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
+        .getOrCreate()
+    )
+    try:
+        for name in names:
+            for harness in EXPERIMENTS[name]:
+                harness(spark)
+    finally:
+        spark.stop()
+
+
+if __name__ == "__main__":
+    main()

@@ -54,20 +54,24 @@ def expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
 
 
 def csr_from_arrays(src: np.ndarray, dst: np.ndarray, n: int) -> CSR:
-    """Build a CSR from one-direction edge endpoint arrays (each edge
-    listed once; both directions are added here).
+    """Build a CSR from one-direction edge endpoint arrays (both
+    directions are added here).
 
-    Each row's neighbors are sorted by id (repeated pairs are kept as
-    parallel edges), so the CSR depends only on the edge multiset, not on
-    the order the edges arrive in.
+    Each row's neighbors are sorted by id, and a pair repeated in either
+    orientation is one edge: parallel edges would inflate shortest-path
+    counts. So the CSR depends only on the edge set, not on the order or
+    multiplicity the edges arrive in.
     """
     u = np.concatenate([src, dst]).astype(np.int64, copy=False)
     v = np.concatenate([dst, src]).astype(np.int64, copy=False)
     order = np.lexsort((v, u))
-    counts = np.bincount(u, minlength=n)
+    u, v = u[order], v[order]
+    first = np.ones(len(u), dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    counts = np.bincount(u[first], minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return CSR(indptr=indptr, indices=v[order])
+    return CSR(indptr=indptr, indices=v[first])
 
 
 def csr_from_edges(edges: DataFrame, n: int) -> CSR:

@@ -13,7 +13,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.normalize import ATTR_COL, VALUE_COL, normalize_cells
+from repro.core.normalize import VALUE_COL, normalize_cells
 
 #: Canonical cells schema used by every lake generator.
 CELLS_SCHEMA = "table_id string, col_id string, value string"
@@ -62,12 +62,3 @@ def lake_stats(cells: DataFrame) -> dict:
         .collect()[0]
     )
     return {"n_tables": row.n_tables, "n_attrs": row.n_attrs, "n_values": row.n_values}
-
-
-def attribute_cardinalities(cells: DataFrame) -> DataFrame:
-    """Distinct-value count per attribute: ``(attr, cardinality)``."""
-    return (
-        normalize_cells(cells)
-        .groupBy(ATTR_COL)
-        .agg(F.countDistinct(VALUE_COL).alias("cardinality"))
-    )

@@ -43,23 +43,11 @@ def attribute_induced_subgraph(
     compact.
     """
     rng = np.random.default_rng(seed)
-    attrs = np.unique(edges["attr_id"])  # sorted: independent of row order
-    rng.shuffle(attrs)
-    by_attr = edges.groupby("attr_id")
-    sizes = by_attr.size()
-    chosen = []
-    total = 0
-    for a in attrs:
-        chosen.append(a)
-        total += int(sizes.loc[a])
-        if total >= target_edges:
-            break
-    sub = edges[edges["attr_id"].isin(set(chosen))]
+    attrs, sizes = np.unique(edges["attr_id"].to_numpy(), return_counts=True)
+    order = rng.permutation(len(attrs))  # sorted ids: independent of row order
+    n_chosen = np.searchsorted(np.cumsum(sizes[order]), target_edges) + 1
+    sub = edges[edges["attr_id"].isin(attrs[order[:n_chosen]])]
     # densify ids: values then attrs, as in repro.core.graph.
-    v_ids = np.sort(sub["value_id"].unique())
-    a_ids = np.sort(sub["attr_id"].unique())
-    v_map = {v: i for i, v in enumerate(v_ids)}
-    a_map = {a: len(v_ids) + i for i, a in enumerate(a_ids)}
-    src = sub["value_id"].map(v_map).to_numpy(np.int64)
-    dst = sub["attr_id"].map(a_map).to_numpy(np.int64)
-    return csr_from_arrays(src, dst, len(v_ids) + len(a_ids))
+    v_ids, src = np.unique(sub["value_id"].to_numpy(), return_inverse=True)
+    a_ids, dst = np.unique(sub["attr_id"].to_numpy(), return_inverse=True)
+    return csr_from_arrays(src, len(v_ids) + dst, len(v_ids) + len(a_ids))

@@ -57,11 +57,12 @@ EXAMPLE36_LCC = {
 
 @st.composite
 def bipartite_graphs(draw, max_values: int = 12, max_attrs: int = 6):
-    """A :class:`BipartiteGraph` with distinct random value–attribute
-    edges, built without Spark. Values may be isolated; attributes too."""
+    """A :class:`BipartiteGraph` from random value–attribute pairs, some
+    possibly repeated, built without Spark. Values may be isolated;
+    attributes too."""
     n_values = draw(st.integers(1, max_values))
     n_attrs = draw(st.integers(1, max_attrs))
-    pairs = draw(st.sets(
+    pairs = draw(st.lists(
         st.tuples(st.integers(0, n_values - 1), st.integers(0, n_attrs - 1)),
         max_size=n_values * n_attrs,
     ))

@@ -1,6 +1,6 @@
 """networkx as the BC oracle: exact Brandes, single-process and fanned
 out over Spark, equals ``nx.betweenness_centrality`` on random
-deduplicated bipartite graphs."""
+bipartite graphs, repeated pairs included."""
 import networkx as nx
 import numpy as np
 from hypothesis import given, settings

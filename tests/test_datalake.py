@@ -3,7 +3,6 @@ import pandas as pd
 import pytest
 
 from repro.lakes.datalake import (
-    attribute_cardinalities,
     lake_from_memberships,
     lake_from_tables,
     lake_stats,
@@ -50,27 +49,6 @@ def test_lake_stats_oracle(spark, fig1):
         """,
         cells=pdf,
     )
-
-
-def test_attribute_cardinalities_oracle(spark, fig1):
-    got = attribute_cardinalities(fig1)
-    assert_equivalent(
-        got,
-        """
-        SELECT table_id || '.' || col_id AS attr,
-               COUNT(DISTINCT UPPER(TRIM(value))) AS cardinality
-        FROM cells
-        WHERE value IS NOT NULL AND TRIM(value) <> ''
-        GROUP BY 1
-        """,
-        cells=fig1.toPandas(),
-    )
-
-
-def test_attribute_cardinality_dedups(fig1):
-    cards = {r["attr"]: r["cardinality"] for r in attribute_cardinalities(fig1).collect()}
-    assert cards["T2.name"] == 3  # PANDA counted once
-    assert cards["T1.At Risk"] == 4
 
 
 def test_lake_from_memberships_roundtrip(spark):

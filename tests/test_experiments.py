@@ -1,10 +1,16 @@
 """Integration tests for the per-table experiment harnesses
 (repro.eval.experiments) at tiny scale — every paper table's code path
-runs end-to-end in the suite."""
+runs end-to-end in the suite — and for its ``main`` entry point."""
+import inspect
+from pathlib import Path
+
 import pytest
 
+from repro.eval import experiments
 from repro.eval.experiments import (
+    EXPERIMENTS,
     d4_impact,
+    main,
     sb_top55,
     scalability_samples,
     scalability_subgraphs,
@@ -78,3 +84,26 @@ def test_d4_impact_harness(spark):
     base = out[out.n_injected == 0].n_domains.iloc[0]
     inj = out[out.n_injected == 20].n_domains.iloc[0]
     assert inj >= base  # §5.5: homographs inflate discovered domains
+
+
+def test_experiments_cover_every_harness_once():
+    harnesses = [
+        f for name, f in inspect.getmembers(experiments, inspect.isfunction)
+        if f.__module__ == experiments.__name__ and not name.startswith("_")
+        and next(iter(inspect.signature(f).parameters), None) == "spark"
+    ]
+    listed = [f for fs in EXPERIMENTS.values() for f in fs]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(harnesses)
+
+
+def test_experiment_names_are_results_stems():
+    results = Path(__file__).resolve().parents[1] / "results"
+    assert set(EXPERIMENTS) == {p.stem for p in results.glob("*.txt")}
+
+
+def test_unknown_experiment_rejected_before_spark(monkeypatch):
+    monkeypatch.setattr(experiments, "SparkSession", None)  # no session
+    with pytest.raises(SystemExit) as exc:
+        main(["nope"])
+    assert exc.value.code != 0

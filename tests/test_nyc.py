@@ -46,6 +46,24 @@ def test_subgraph_is_valid_csr(edges_pdf):
     assert csr.degrees().sum() == 2 * csr.n_undirected_edges
 
 
+@pytest.mark.parametrize("seed,target", [(0, 50), (4, 300)])
+def test_subgraph_matches_loop_reference(edges_pdf, seed, target):
+    """Footnote 9 as a loop: add shuffled attributes until the target."""
+    attrs = np.unique(edges_pdf["attr_id"])
+    np.random.default_rng(seed).shuffle(attrs)
+    sizes = edges_pdf.groupby("attr_id").size()
+    chosen, total = [], 0
+    for a in attrs:
+        chosen.append(a)
+        total += sizes[a]
+        if total >= target:
+            break
+    sub = edges_pdf[edges_pdf["attr_id"].isin(chosen)]
+    csr = attribute_induced_subgraph(edges_pdf, target, seed=seed)
+    assert csr.n == sub["value_id"].nunique() + len(chosen)
+    assert csr.n_undirected_edges == len(sub)
+
+
 def test_subgraph_deterministic(edges_pdf):
     a = attribute_induced_subgraph(edges_pdf, 100, seed=2)
     b = attribute_induced_subgraph(edges_pdf, 100, seed=2)
