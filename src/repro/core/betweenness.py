@@ -6,10 +6,22 @@ source-sampling estimator used by the paper's Networkit setup: run
 Brandes from ``s`` sampled sources and scale the summed dependencies by
 ``n / s``, which is unbiased for uniform sampling.
 
+Twins: nodes with identical neighbour sets
+(:func:`~repro.graph.csr.twin_classes`) have identical dependency
+vectors, because swapping two twins is a graph automorphism and a twin
+of the source is never interior to a shortest path from it. So the
+sources collapse onto their classes: one sweep per class, from its
+first source, weighted by how many sources it has. Exact BC runs one
+sweep per class; sampled BC keeps its sample and its ``n / s`` scale.
+This is the "identical vertices" reduction of Sariyüce et al.,
+*Shattering and Compressing Networks for Betweenness Centrality*
+(SDM 2013). A graph without twins gets the plain per-source sum.
+
 Distribution: Brandes is embarrassingly parallel over sources. One
-Spark job maps :data:`CHUNKS` fixed, contiguous source chunks over the
-broadcast CSR to partial dependency vectors; the driver adds them in
-chunk order, so scores are bit-identical whatever the cluster's shape.
+Spark job maps at most :data:`CHUNKS` fixed, contiguous chunks of
+sweeps over the broadcast CSR to partial dependency vectors; the driver
+adds them in chunk order, so scores are bit-identical whatever the
+cluster's shape.
 """
 from __future__ import annotations
 
@@ -19,7 +31,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graph.csr import CSR, expand
+from repro.graph.csr import CSR, expand, twin_classes
 
 #: Source chunks per BC call; each is one partial vector on the driver.
 CHUNKS = 16
@@ -43,10 +55,14 @@ def brandes_dependencies(
     sigma[source] = 1.0
     frontier = np.array([source], dtype=np.int64)
     levels = [frontier]
+    found = np.zeros(n, dtype=bool)
     d = 0
     while frontier.size:
         srcs, nbrs = expand(indptr, indices, frontier)
-        new = np.unique(nbrs[dist[nbrs] == -1])
+        # The level's new nodes, deduplicated and sorted by id.
+        found[nbrs[dist[nbrs] == -1]] = True
+        new = np.flatnonzero(found)
+        found[new] = False
         dist[new] = d + 1
         on_dag = dist[nbrs] == d + 1
         np.add.at(sigma, nbrs[on_dag], sigma[srcs[on_dag]])
@@ -66,12 +82,17 @@ def brandes_dependencies(
 
 
 def dependency_sum(
-    indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int]
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    sources: Iterable[int],
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Summed :func:`brandes_dependencies` of ``sources``, in source order."""
+    """Summed :func:`brandes_dependencies` of ``sources``, in source order,
+    each scaled by its entry of ``weights`` when given."""
     acc = np.zeros(len(indptr) - 1, dtype=np.float64)
-    for s in sources:
-        acc += brandes_dependencies(indptr, indices, int(s))
+    for i, s in enumerate(sources):
+        delta = brandes_dependencies(indptr, indices, int(s))
+        acc += delta if weights is None else weights[i] * delta
     return acc
 
 
@@ -107,6 +128,8 @@ def betweenness_values(
     ``sources=None, n_samples=None`` runs every node (exact BC).
     With ``n_samples`` the estimator scales by ``n / s`` so sampled and
     exact scores are on the same scale (and identical when ``s = n``).
+    Sources that are twins (:func:`~repro.graph.csr.twin_classes`) share
+    one sweep, from the first of them, weighted by their count.
     """
     if sources is None:
         if n_samples is None:
@@ -115,14 +138,20 @@ def betweenness_values(
             sources = sample_sources(csr, n_samples, seed=seed)
     sources = np.asarray(list(sources), dtype=np.int64)
     n, s = csr.n, len(sources)
-    chunks = np.array_split(sources, min(CHUNKS, max(1, s)))
+    _, first, counts = np.unique(
+        twin_classes(csr)[sources], return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    reps, weights = sources[first[order]], counts[order].astype(np.float64)
+    k = min(CHUNKS, max(1, len(reps)))
+    chunks = list(zip(np.array_split(reps, k), np.array_split(weights, k)))
     sc = spark.sparkContext
     bcast = sc.broadcast((csr.indptr, csr.indices))
     # More tasks than cores only adds scheduling cost; a task runs its
     # chunks one by one, each still a partial of its own.
     partials = (
         sc.parallelize(chunks, min(len(chunks), sc.defaultParallelism))
-        .map(lambda chunk: dependency_sum(*bcast.value, chunk))
+        .map(lambda chunk: dependency_sum(*bcast.value, *chunk))
         .collect()
     )
     bcast.destroy()

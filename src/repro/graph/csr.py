@@ -53,6 +53,23 @@ def expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     return np.repeat(frontier, counts), indices[idx]
 
 
+def twin_classes(csr: CSR) -> np.ndarray:
+    """Class id of every node: twins, nodes with identical neighbour
+    sets, share one id (all isolated nodes are one class).
+
+    Each row's bytes are a dict key, so rows are compared whole, not by
+    hash alone. Ids follow each class's smallest node, so a graph
+    without twins gets ``class[u] == u``.
+    """
+    buf = csr.indices.tobytes()
+    ptr = (csr.indices.itemsize * csr.indptr).tolist()
+    first: dict[bytes, int] = {}
+    smallest = [
+        first.setdefault(buf[a:b], u) for u, (a, b) in enumerate(zip(ptr, ptr[1:]))
+    ]
+    return np.unique(np.array(smallest, dtype=np.int64), return_inverse=True)[1]
+
+
 def csr_from_arrays(src: np.ndarray, dst: np.ndarray, n: int) -> CSR:
     """Build a CSR from one-direction edge endpoint arrays (both
     directions are added here).

@@ -73,6 +73,33 @@ def bipartite_graphs(draw, max_values: int = 12, max_attrs: int = 6):
     return BipartiteGraph(labels, n_values, csr_from_arrays(v, n_values + a, n))
 
 
+@st.composite
+def twin_bipartite_graphs(draw, max_values: int = 8, max_attrs: int = 5):
+    """A :func:`bipartite_graphs` graph forced to contain twins: some
+    value rows are copied onto new values, and some attribute rows onto
+    new attributes, so several nodes share one neighbour set."""
+    base = draw(bipartite_graphs(max_values, max_attrs))
+    nv, na = base.n_values, base.n_nodes - base.n_values
+    edges = base.edge_frame()
+    v, a = edges["value_id"].tolist(), (edges["attr_id"] - nv).tolist()
+    value_copies = draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=6))
+    for j, src in enumerate(value_copies):
+        a += [x for y, x in zip(v, a) if y == src]
+        v += [nv + j] * (len(a) - len(v))
+    nv += len(value_copies)
+    attr_copies = draw(st.lists(st.integers(0, na - 1), max_size=3))
+    for j, src in enumerate(attr_copies):
+        v += [y for y, x in zip(v, a) if x == src]
+        a += [na + j] * (len(v) - len(a))
+    na += len(attr_copies)
+    n = nv + na
+    labels = np.array([f"N{i:03d}" for i in range(n)], dtype=object)
+    return BipartiteGraph(
+        labels, nv, csr_from_arrays(np.array(v, dtype=np.int64),
+                                    nv + np.array(a, dtype=np.int64), n)
+    )
+
+
 def shuffled(spark, cells, seed: int):
     """The same lake with its rows in a seeded random order."""
     pdf = cells.toPandas()

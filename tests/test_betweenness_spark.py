@@ -12,7 +12,7 @@ from repro.core.betweenness import (
     sample_sources,
 )
 from repro.core.graph import build_graph
-from repro.graph.csr import csr_from_arrays, csr_from_edges
+from repro.graph.csr import csr_from_arrays, csr_from_edges, twin_classes
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES
 
@@ -102,11 +102,23 @@ def test_figure1_subgraph_bc_ordering(spark):
         assert bc[labels[v]] == pytest.approx(0.0)
 
 
+def _twin_csr(n_values=60, n_attrs=8, seed=11):
+    """Random bipartite graph whose values draw 1–3 of few attributes,
+    so many values are twins."""
+    rng = np.random.default_rng(seed)
+    pairs = [(v, n_values + a) for v in range(n_values)
+             for a in rng.choice(n_attrs, size=rng.integers(1, 4), replace=False)]
+    src, dst = np.array(pairs).T
+    return csr_from_arrays(src, dst, n_values + n_attrs)
+
+
 @pytest.mark.parametrize("n_samples", [None, 25])
 def test_chunked_sum_bit_identical(spark, n_samples):
     """The Spark job adds the same chunk partials in the same order as a
-    single process, so BC does not depend on the cluster's task count."""
-    csr = _random_csr(seed=8)
+    single process, so BC does not depend on the cluster's task count.
+    Each chunk holds twin-class representatives, in first-occurrence
+    source order, weighted by how many sources their class has."""
+    csr = _twin_csr()
     if n_samples is None:
         sources = np.arange(csr.n)
     else:
@@ -114,9 +126,19 @@ def test_chunked_sum_bit_identical(spark, n_samples):
     got = betweenness_values(
         spark, csr, n_samples=n_samples, seed=2, normalized=False
     )
+    cls = twin_classes(csr)
+    slot, reps, weights = {}, [], []
+    for s in sources:
+        if cls[s] not in slot:
+            slot[cls[s]] = len(reps)
+            reps.append(s)
+            weights.append(0.0)
+        weights[slot[cls[s]]] += 1.0
+    assert len(reps) < len(sources)
+    reps, weights = np.array(reps), np.array(weights)
     ref = np.zeros(csr.n)
-    for chunk in np.array_split(sources, min(CHUNKS, len(sources))):
-        ref += dependency_sum(csr.indptr, csr.indices, chunk)
+    for part in np.array_split(np.arange(len(reps)), min(CHUNKS, len(reps))):
+        ref += dependency_sum(csr.indptr, csr.indices, reps[part], weights[part])
     assert np.array_equal(got, ref * (csr.n / len(sources)))
 
 

@@ -1,11 +1,13 @@
 """Tests for the CSR adjacency substrate (repro.graph.csr)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import build_graph
-from repro.graph.csr import csr_from_arrays, csr_from_edges
+from repro.graph.csr import csr_from_arrays, csr_from_edges, twin_classes
 from repro.lakes.datalake import lake_from_tables
-from tests.fixtures import EXAMPLE31_TABLES
+from tests.fixtures import EXAMPLE31_TABLES, bipartite_graphs, twin_bipartite_graphs
 
 
 def test_single_edge():
@@ -90,3 +92,15 @@ def test_no_edges(n):
     assert csr.n == n
     assert csr.n_undirected_edges == 0
     assert list(csr.degrees()) == [0] * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bipartite_graphs(), twin_bipartite_graphs()))
+def test_twin_classes_match_neighbour_sets(graph):
+    """One class per distinct neighbour set, isolated nodes included,
+    numbered in order of each class's smallest node."""
+    csr = graph.csr
+    ids: dict = {}
+    ref = [ids.setdefault(frozenset(csr.neighbors(u).tolist()), len(ids))
+           for u in range(csr.n)]
+    assert np.array_equal(twin_classes(csr), ref)
