@@ -44,9 +44,11 @@ def brandes_dependencies(
 
     ``delta[source]`` is forced to 0 (the source accumulates predecessor
     contributions during the sweep but does not count toward its own BC).
-    Level-synchronous and numpy-vectorized: per BFS level, edges are
-    gathered via CSR slices; ``sigma`` updates and dependency pushes use
-    ``np.add.at`` so duplicate targets within a level accumulate.
+    Level-synchronous and numpy-vectorized: the forward BFS gathers each
+    level's edges via CSR slices and keeps those on the shortest-path DAG;
+    the backward pass walks the stored DAG edges level by level in
+    reverse. ``sigma`` updates and dependency pushes use ``np.add.at`` so
+    duplicate targets within a level accumulate.
     """
     n = len(indptr) - 1
     dist = np.full(n, -1, dtype=np.int64)
@@ -54,7 +56,7 @@ def brandes_dependencies(
     dist[source] = 0
     sigma[source] = 1.0
     frontier = np.array([source], dtype=np.int64)
-    levels = [frontier]
+    dag = []
     found = np.zeros(n, dtype=bool)
     d = 0
     while frontier.size:
@@ -65,17 +67,14 @@ def brandes_dependencies(
         found[new] = False
         dist[new] = d + 1
         on_dag = dist[nbrs] == d + 1
-        np.add.at(sigma, nbrs[on_dag], sigma[srcs[on_dag]])
+        s_sel, n_sel = srcs[on_dag], nbrs[on_dag]
+        np.add.at(sigma, n_sel, sigma[s_sel])
+        dag.append((s_sel, n_sel))
         frontier = new
-        if frontier.size:
-            levels.append(frontier)
         d += 1
 
     delta = np.zeros(n, dtype=np.float64)
-    for frontier in reversed(levels[:-1] if len(levels) > 1 else []):
-        srcs, nbrs = expand(indptr, indices, frontier)
-        on_dag = dist[nbrs] == dist[srcs] + 1
-        s_sel, n_sel = srcs[on_dag], nbrs[on_dag]
+    for s_sel, n_sel in reversed(dag):
         np.add.at(delta, s_sel, sigma[s_sel] / sigma[n_sel] * (1.0 + delta[n_sel]))
     delta[source] = 0.0
     return delta
@@ -117,26 +116,23 @@ def betweenness_values(
     spark: SparkSession,
     csr: CSR,
     *,
-    sources: Iterable[int] | None = None,
     n_samples: int | None = None,
     seed: int = 0,
-    normalized: bool = True,
 ) -> np.ndarray:
-    """Distributed (approximate or exact) BC of every node, indexed by
-    node id.
+    """Distributed (approximate or exact) normalized BC of every node,
+    indexed by node id.
 
-    ``sources=None, n_samples=None`` runs every node (exact BC).
-    With ``n_samples`` the estimator scales by ``n / s`` so sampled and
-    exact scores are on the same scale (and identical when ``s = n``).
-    Sources that are twins (:func:`~repro.graph.csr.twin_classes`) share
-    one sweep, from the first of them, weighted by their count.
+    ``n_samples=None`` runs every node (exact BC). Otherwise the sources
+    are :func:`sample_sources`'s draw and the estimator scales by
+    ``n / s``, so sampled and exact scores are on the same scale (and
+    identical when ``s = n``). Sources that are twins
+    (:func:`~repro.graph.csr.twin_classes`) share one sweep, from the
+    first of them, weighted by their count.
     """
-    if sources is None:
-        if n_samples is None:
-            sources = np.arange(csr.n, dtype=np.int64)
-        else:
-            sources = sample_sources(csr, n_samples, seed=seed)
-    sources = np.asarray(list(sources), dtype=np.int64)
+    if n_samples is None:
+        sources = np.arange(csr.n, dtype=np.int64)
+    else:
+        sources = sample_sources(csr, n_samples, seed=seed)
     n, s = csr.n, len(sources)
     _, first, counts = np.unique(
         twin_classes(csr)[sources], return_index=True, return_counts=True
@@ -158,7 +154,7 @@ def betweenness_values(
     bc = sum(partials, np.zeros(n))
     if s:
         bc *= n / s
-    return _normalize(bc, n) if normalized else bc
+    return _normalize(bc, n)
 
 
 def betweenness_spark(spark: SparkSession, csr: CSR, **kwargs) -> DataFrame:

@@ -49,14 +49,13 @@ def rank_homographs(
     measure: str = "bc",
     n_samples: int | None = None,
     seed: int = 0,
-    prune_unique: bool = True,
 ) -> tuple[BipartiteGraph, DataFrame]:
     """Full pipeline: lake cells → ranked homograph candidates.
 
     Returns the graph and :func:`rank_graph`'s ranking as a Spark
     ``(label, <measure>, rank)`` DataFrame.
     """
-    graph = build_graph(cells, prune_unique=prune_unique)
+    graph = build_graph(cells)
     ranked = rank_graph(spark, graph, measure=measure, n_samples=n_samples, seed=seed)
     return graph, spark.createDataFrame(
         ranked, schema=f"label string, {measure} double, rank long"

@@ -77,15 +77,14 @@ def sb_top55(
     k = len(homs)
     out: dict = {"k": k}
 
+    graph = build_graph(sb.cells)
     for measure in ("bc", "lcc"):
         ranked = rank_graph(
-            spark, build_graph(sb.cells), measure=measure,
+            spark, graph, measure=measure,
             n_samples=n_samples if measure == "bc" else None, seed=seed,
         )
         curve = topk_curve(
-            ranked.assign(is_homograph=ranked.label.isin(homs)),
-            score_col=measure,
-            ascending=(measure == "lcc"),
+            ranked.assign(is_homograph=ranked.label.isin(homs)), score_col=measure
         )
         out[measure] = metrics_at_k(curve, k)
 
@@ -188,14 +187,6 @@ def table3_meanings(
     return pd.DataFrame(rows, columns=["meanings", "pct_in_topn", "runs"])
 
 
-def with_truth(labeled: pd.DataFrame, truth: pd.DataFrame) -> pd.DataFrame:
-    """``labeled`` plus the ``is_homograph`` column of a ``(label,
-    is_homograph)`` truth frame; labels the truth lacks are False."""
-    out = labeled.merge(truth, on="label", how="left")
-    out["is_homograph"] = out["is_homograph"].fillna(False).astype(bool)
-    return out
-
-
 # --------------------------------------------- §5.3: TUS top-k (Fig. 7)
 def tus_topk(
     spark: SparkSession, *, sf: float = 1.0, n_samples: int = 3000,
@@ -204,11 +195,14 @@ def tus_topk(
     """Top-k precision/recall/F1 on TUS-lite with its natural homographs."""
     lake = tus_lake(spark, sf=sf, seed=seed)
     truth = definition2_truth(lake.cells, lake.column_domains(spark))
+    homs = set(truth.label[truth.is_homograph])
     ranked = rank_graph(
         spark, build_graph(lake.cells), measure="bc", n_samples=n_samples, seed=seed
     )
-    curve = topk_curve(with_truth(ranked, truth), score_col="bc")
-    n_hom = int(truth["is_homograph"].sum())
+    curve = topk_curve(
+        ranked.assign(is_homograph=ranked.label.isin(homs)), score_col="bc"
+    )
+    n_hom = len(homs)
     out = {
         "n_homographs": n_hom,
         "at_k": {k: metrics_at_k(curve, k) for k in ks if k < n_hom},
@@ -239,14 +233,17 @@ def scalability_samples(
     print("== Fig 8 analogue: precision/time vs sample size (TUS-lite) ==")
     lake = tus_lake(spark, sf=sf, seed=seed)
     truth = definition2_truth(lake.cells, lake.column_domains(spark))
-    n_hom = int(truth["is_homograph"].sum())
+    homs = set(truth.label[truth.is_homograph])
+    n_hom = len(homs)
     graph = build_graph(lake.cells, prune_unique=True)
     rows = []
     for s in sample_sizes:
         s = None if s is None else min(s, graph.n_nodes)
         t0 = time.perf_counter()
         ranked = rank_graph(spark, graph, measure="bc", n_samples=s, seed=seed)
-        curve = topk_curve(with_truth(ranked, truth), score_col="bc")
+        curve = topk_curve(
+            ranked.assign(is_homograph=ranked.label.isin(homs)), score_col="bc"
+        )
         prec = metrics_at_k(curve, n_hom)["precision"]
         dt = time.perf_counter() - t0
         rows.append((graph.n_nodes if s is None else s, prec, dt))
@@ -345,7 +342,22 @@ EXPERIMENTS = {
     "d4_impact": (d4_impact,),
 }
 
-SHUFFLE_PARTITIONS = 64
+
+def spark_session() -> SparkSession:
+    """The Spark session of the experiments and of the test suite.
+
+    ``PYSPARK_SUBMIT_ARGS`` picks the master and driver memory, which the
+    JVM reads at launch; these are the settings honoured after it. Broadcast
+    joins happen only where a query asks for one (the TUS-I rewrites).
+    """
+    return (
+        SparkSession.builder.appName("repro")
+        .config("spark.sql.shuffle.partitions", 64)
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
+        .getOrCreate()
+    )
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -361,15 +373,7 @@ def main(argv: list[str] | None = None) -> None:
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         ap.error(f"unknown experiment(s): {', '.join(unknown)}")
-    # The test session's settings, so results here match what tests check.
-    spark = (
-        SparkSession.builder.appName("repro-experiments")
-        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.showConsoleProgress", "false")
-        .getOrCreate()
-    )
+    spark = spark_session()
     try:
         for name in names:
             for harness in EXPERIMENTS[name]:

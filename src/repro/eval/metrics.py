@@ -10,33 +10,27 @@ from typing import Iterable
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.ranking import rank_frame
 
-
-def topk_curve(
-    scored: pd.DataFrame | DataFrame,
-    *,
-    score_col: str,
-    truth_col: str = "is_homograph",
-    ascending: bool = False,
-) -> pd.DataFrame:
+def topk_curve(ranking: pd.DataFrame | DataFrame, *, score_col: str) -> pd.DataFrame:
     """Cumulative precision/recall/F1 at every rank.
 
-    ``scored`` (pandas, or Spark and collected here) must have one row per
-    candidate value with its ``label``, score and a boolean ground-truth
-    column. Ties are broken by label. Returns ``(rank, label, score,
-    is_homograph, tp, precision, recall, f1)`` ordered by rank.
+    ``ranking`` (pandas, or Spark and collected here) is a ranking such as
+    :func:`~repro.core.pipeline.rank_graph` returns, one row per candidate
+    value with its ``label``, score and ``rank``, plus a boolean
+    ``is_homograph`` ground-truth column. The curve follows ``rank``; it
+    does not rank. Returns ``(rank, label, score, is_homograph, tp,
+    precision, recall, f1)`` ordered by rank.
     """
-    if isinstance(scored, DataFrame):
-        scored = scored.toPandas()
-    c = rank_frame(scored, score_col=score_col, ascending=ascending)
-    truth = c[truth_col].astype(bool)
+    if isinstance(ranking, DataFrame):
+        ranking = ranking.toPandas()
+    c = ranking.sort_values("rank", ignore_index=True)
+    truth = c["is_homograph"].astype(bool)
     c["tp"] = truth.cumsum()
     c["precision"] = c["tp"] / c["rank"]
     c["recall"] = c["tp"] / max(int(truth.sum()), 1)
     pr = c["precision"] + c["recall"]
     c["f1"] = (2 * c["precision"] * c["recall"] / pr).fillna(0.0)
-    return c[["rank", "label", score_col, truth_col, "tp", "precision", "recall", "f1"]]
+    return c[["rank", "label", score_col, "is_homograph", "tp", "precision", "recall", "f1"]]
 
 
 def metrics_at_k(curve: pd.DataFrame, k: int) -> dict:

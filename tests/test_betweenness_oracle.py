@@ -5,15 +5,12 @@ twins, the twin-weighted Spark BC also equals the unweighted kernel."""
 import networkx as nx
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.betweenness import (
     betweenness_exact,
     betweenness_spark,
     betweenness_values,
-    dependency_sum,
 )
-from repro.graph.csr import twin_classes
 from tests.fixtures import bipartite_graphs, twin_bipartite_graphs
 
 
@@ -35,27 +32,17 @@ def test_exact_matches_networkx(graph):
 @settings(max_examples=15, deadline=None)
 @given(bipartite_graphs())
 def test_spark_matches_networkx(spark, graph):
-    pdf = betweenness_spark(spark, graph.csr, normalized=True).toPandas()
+    pdf = betweenness_spark(spark, graph.csr).toPandas()
     got = np.zeros(graph.n_nodes)
     got[pdf["node_id"].to_numpy()] = pdf["bc"].to_numpy()
     assert np.allclose(got, _nx_bc(graph), rtol=0, atol=1e-9)
 
 
 @settings(max_examples=15, deadline=None)
-@given(twin_bipartite_graphs(), st.data())
-def test_twin_weighted_matches_unweighted(spark, graph, data):
-    """One sweep per twin class, weighted by class size, is exact BC; and
-    explicit sources that hit one class several times give the plain
-    unweighted ``n / s`` estimate."""
+@given(twin_bipartite_graphs())
+def test_twin_weighted_matches_unweighted(spark, graph):
+    """One sweep per twin class, weighted by class size, is exact BC."""
     csr = graph.csr
-    got = betweenness_values(spark, csr, normalized=True)
+    got = betweenness_values(spark, csr)
     assert np.allclose(got, betweenness_exact(csr, normalized=True), rtol=1e-12, atol=0)
     assert np.allclose(got, _nx_bc(graph), rtol=0, atol=1e-9)
-
-    cls = twin_classes(csr)
-    biggest = np.flatnonzero(cls == np.bincount(cls).argmax())
-    drawn = data.draw(st.lists(st.integers(0, csr.n - 1), max_size=2 * csr.n))
-    sources = np.concatenate([drawn, biggest, biggest[:1]]).astype(np.int64)
-    got = betweenness_values(spark, csr, sources=sources, normalized=False)
-    ref = dependency_sum(csr.indptr, csr.indices, sources) * (csr.n / len(sources))
-    assert np.allclose(got, ref, rtol=1e-12, atol=0)

@@ -34,15 +34,8 @@ def _collect(df, n):
 
 def test_spark_exact_matches_kernel(spark):
     csr = _random_csr()
-    got = _collect(betweenness_spark(spark, csr, normalized=True), csr.n)
+    got = _collect(betweenness_spark(spark, csr), csr.n)
     ref = betweenness_exact(csr, normalized=True)
-    assert np.allclose(got, ref, atol=1e-12)
-
-
-def test_spark_exact_raw_matches_kernel(spark):
-    csr = _random_csr(seed=4)
-    got = _collect(betweenness_spark(spark, csr, normalized=False), csr.n)
-    ref = betweenness_exact(csr, normalized=False)
     assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -55,17 +48,16 @@ def test_all_sources_sampled_equals_exact(spark):
 
 def test_explicit_sources_subset(spark):
     csr = _random_csr(seed=6)
-    # half the sources, explicitly: estimator = (n/s)·partial sums.
-    sources = list(range(0, csr.n, 2))
-    got = _collect(
-        betweenness_spark(spark, csr, sources=sources, normalized=False), csr.n
-    )
+    # half the sources: estimator = (n/s)·partial sums, normalized.
+    sources = sample_sources(csr, csr.n // 2, seed=6)
+    got = _collect(betweenness_spark(spark, csr, n_samples=len(sources), seed=6), csr.n)
     from repro.core.betweenness import brandes_dependencies
 
     partial = np.zeros(csr.n)
     for s in sources:
         partial += brandes_dependencies(csr.indptr, csr.indices, s)
-    assert np.allclose(got, partial * (csr.n / len(sources)), atol=1e-9)
+    scale = csr.n / len(sources) / ((csr.n - 1) * (csr.n - 2))
+    assert np.allclose(got, partial * scale, atol=1e-9)
 
 
 def test_sampled_ranking_correlates_with_exact(spark):
@@ -123,9 +115,7 @@ def test_chunked_sum_bit_identical(spark, n_samples):
         sources = np.arange(csr.n)
     else:
         sources = sample_sources(csr, n_samples, seed=2)
-    got = betweenness_values(
-        spark, csr, n_samples=n_samples, seed=2, normalized=False
-    )
+    got = betweenness_values(spark, csr, n_samples=n_samples, seed=2)
     cls = twin_classes(csr)
     slot, reps, weights = {}, [], []
     for s in sources:
@@ -139,7 +129,8 @@ def test_chunked_sum_bit_identical(spark, n_samples):
     ref = np.zeros(csr.n)
     for part in np.array_split(np.arange(len(reps)), min(CHUNKS, len(reps))):
         ref += dependency_sum(csr.indptr, csr.indices, reps[part], weights[part])
-    assert np.array_equal(got, ref * (csr.n / len(sources)))
+    ref *= csr.n / len(sources)
+    assert np.array_equal(got, ref / float((csr.n - 1) * (csr.n - 2)))
 
 
 def test_one_spark_job(spark):
@@ -156,5 +147,5 @@ def test_one_spark_job(spark):
 
 def test_empty_sources_yields_empty(spark):
     csr = _random_csr(seed=9)
-    out = betweenness_spark(spark, csr, sources=[], normalized=False)
+    out = betweenness_spark(spark, csr, n_samples=0)
     assert out.count() == 0

@@ -1,6 +1,8 @@
 """Tests for repro.eval.metrics (top-k curves, P/R/F1). The ``scored``
-fixture is a Spark DataFrame, which ``topk_curve`` collects; the tie and
-empty-truth tests pass pandas frames."""
+fixture is a ranking as a Spark DataFrame, which ``topk_curve``
+collects; the order and empty-truth tests also pass pandas frames.
+Ranking itself (direction, ties by label) is ``rank_frame``'s, tested in
+``test_ranking``."""
 import pandas as pd
 import pytest
 
@@ -14,6 +16,7 @@ def scored(spark):
             "label": ["a", "b", "c", "d", "e", "f"],
             "score": [0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
             "is_homograph": [True, True, False, True, False, False],
+            "rank": [1, 2, 3, 4, 5, 6],
         }
     )
     return spark.createDataFrame(pdf)
@@ -25,9 +28,21 @@ def test_curve_ranks_descending(scored):
     assert list(curve["rank"]) == [1, 2, 3, 4, 5, 6]
 
 
-def test_curve_ascending_flag(scored):
-    curve = topk_curve(scored, score_col="score", ascending=True)
-    assert list(curve.label) == ["f", "e", "d", "c", "b", "a"]
+def test_curve_follows_rank_not_row_order(spark, scored):
+    """Rows that arrive out of rank order, shuffled in pandas or spread
+    over several Spark partitions, give the curve of the rank column."""
+    pdf = scored.toPandas()
+    # Scores that disagree with the ranks: the curve must not re-rank.
+    pdf["score"] = pdf["score"].to_numpy()[::-1]
+    want = list(pdf.label)
+    shuffled = pdf.sample(frac=1, random_state=3)
+    spread = spark.createDataFrame(shuffled).repartition(3)
+    assert list(shuffled.label) != want and list(spread.toPandas().label) != want
+    for ranking in (shuffled, spread):
+        curve = topk_curve(ranking, score_col="score")
+        assert list(curve.label) == want
+        assert list(curve["rank"]) == [1, 2, 3, 4, 5, 6]
+        assert list(curve["tp"]) == [1, 2, 2, 3, 3, 3]
 
 
 def test_cumulative_precision_recall(scored):
@@ -79,21 +94,9 @@ def test_hits_in_topk(scored):
     assert hits_in_topk(curve, 6, ["nope"]) == 0
 
 
-def test_tie_broken_by_label():
-    pdf = pd.DataFrame(
-        {
-            "label": ["z", "y"],
-            "score": [0.5, 0.5],
-            "is_homograph": [False, True],
-        }
-    )
-    curve = topk_curve(pdf, score_col="score")
-    assert list(curve.label) == ["y", "z"]
-
-
 def test_empty_truth_zero_recall():
     pdf = pd.DataFrame(
-        {"label": ["a"], "score": [1.0], "is_homograph": [False]}
+        {"label": ["a"], "score": [1.0], "is_homograph": [False], "rank": [1]}
     )
     curve = topk_curve(pdf, score_col="score")
     m = metrics_at_k(curve, 1)

@@ -15,20 +15,14 @@ from tests.fixtures import EXAMPLE31_TABLES
 
 
 def test_figure1_bc_ranks_jaguar_first(spark):
-    lake = lake_from_tables(spark, EXAMPLE31_TABLES)
-    _, ranked = rank_homographs(
-        spark, lake, measure="bc", prune_unique=False
-    )
-    top = ranked.orderBy("rank").limit(2).toPandas()
+    g = build_graph(lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False)
+    top = rank_graph(spark, g, measure="bc").head(2)
     assert list(top.label) == ["JAGUAR", "PUMA"]
 
 
 def test_figure1_lcc_ranks_jaguar_first(spark):
-    lake = lake_from_tables(spark, EXAMPLE31_TABLES)
-    _, ranked = rank_homographs(
-        spark, lake, measure="lcc", prune_unique=False
-    )
-    top = ranked.orderBy("rank").limit(1).toPandas()
+    g = build_graph(lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False)
+    top = rank_graph(spark, g, measure="lcc").head(1)
     assert list(top.label) == ["JAGUAR"]
 
 
@@ -41,8 +35,8 @@ def test_unknown_measure_raises(spark):
 
 def test_prune_shrinks_candidates(spark):
     lake = lake_from_tables(spark, EXAMPLE31_TABLES)
-    g_full, _ = rank_homographs(spark, lake, measure="bc", prune_unique=False)
-    g_pruned, ranked = rank_homographs(spark, lake, measure="bc", prune_unique=True)
+    g_full = build_graph(lake, prune_unique=False)
+    g_pruned, ranked = rank_homographs(spark, lake, measure="bc")
     assert g_pruned.n_values < g_full.n_values
     assert ranked.count() == g_pruned.n_values
 
@@ -147,7 +141,6 @@ def test_sb_bc_beats_lcc(spark, sb_small, sb_bc_curve):
     lcc_curve = topk_curve(
         lcc_ranked.withColumn("is_homograph", lcc_ranked.label.isin(list(homs))),
         score_col="lcc",
-        ascending=True,
     )
     bc_m = metrics_at_k(sb_bc_curve, 55)
     lcc_m = metrics_at_k(lcc_curve, 55)
