@@ -23,8 +23,7 @@ def test_bench_fig9_runtime_vs_edges(spark, benchmark):
 
     out = benchmark.pedantic(
         lambda: scalability_subgraphs(
-            spark, sf=0.04, edge_targets=(5_000, 10_000, 20_000),
-            sample_frac=0.01,
+            spark, sf=0.04, edge_targets=(5_000, 10_000, 20_000)
         ),
         rounds=1,
         iterations=1,

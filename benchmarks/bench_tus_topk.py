@@ -6,7 +6,7 @@ def test_bench_tus_topk(spark, benchmark):
     from repro.eval.experiments import tus_topk
 
     out = benchmark.pedantic(
-        lambda: tus_topk(spark, sf=0.3, n_samples=800, ks=(100, 200, 500)),
+        lambda: tus_topk(spark, sf=0.3, n_samples=800),
         rounds=1,
         iterations=1,
     )

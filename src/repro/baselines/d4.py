@@ -140,7 +140,6 @@ def discover_domains(cells: DataFrame) -> D4Result:
         uf = UnionFind()
         anchors: list[frozenset] = []
         for sig in sigs:
-            uf.find(sig)
             for other in anchors[:30]:  # compare against dominant classes
                 inter = len(sig & other)
                 if inter and inter / len(sig | other) >= SIG_THRESHOLD:
@@ -160,15 +159,12 @@ def discover_domains(cells: DataFrame) -> D4Result:
     uf = UnionFind()
     inverted: dict[str, list[int]] = {}
     for i, (_, vals) in enumerate(local_domains):
-        uf.find(i)
         for v in vals:
             inverted.setdefault(v, []).append(i)
     pairs = set()
     for ids in inverted.values():
-        if 1 < len(ids) <= 50:  # cap hub values' pair fan-out
-            pairs.update(combinations(sorted(ids), 2))
-        elif len(ids) > 50:
-            pairs.update(combinations(sorted(ids)[:50], 2))
+        # cap hub values' pair fan-out at their 50 lowest ids
+        pairs.update(combinations(sorted(ids)[:50], 2))
     for i, j in pairs:
         a, b = local_domains[i][1], local_domains[j][1]
         inter = len(a & b)

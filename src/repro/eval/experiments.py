@@ -1,10 +1,12 @@
 """Experiment harnesses — one function per paper table/figure (§5).
 
 Each harness returns plain pandas/dict results and prints the same rows
-the paper reports. Its defaults are the settings behind ``results/``;
-``benchmarks/*`` and the tests call it at smaller scale. Thresholds that
-the paper states in absolute value terms (column cardinalities) scale
-linearly with the TUS-lite scale factor.
+the paper reports. Its defaults are the settings behind ``results/``,
+and its only keywords are the scale and size ones (scale factors,
+sample and injection counts, the swept values) that ``benchmarks/*``
+and the tests shrink; every run uses the one seed :data:`SEED`.
+Thresholds that the paper states in absolute value terms (column
+cardinalities) scale linearly with the TUS-lite scale factor.
 
 Regenerate the captured outputs, one ``results/<name>.txt`` each::
 
@@ -34,29 +36,43 @@ from repro.lakes.sb import sb_lake
 from repro.lakes.tus import definition2_truth, tus_lake
 from repro.lakes.tus_inject import inject_homographs, remove_homographs
 
+#: seed of every lake generator, BC source sample and NYC subgraph draw;
+#: injection runs are seeded by their setting (Tables 2–3, Fig. 10).
+SEED = 0
+#: replaced-value cardinality floor of Table 3, before scaling by ``sf``.
+TABLE3_MIN_CARDINALITY = 500
+#: Brandes sources timed per subgraph in Fig. 9.
+FIG9_SOURCES = 100
+
+
+def _curve(ranked: pd.DataFrame, homographs, measure: str) -> pd.DataFrame:
+    """The top-k curve of ``ranked`` against a set of homograph labels."""
+    return topk_curve(
+        ranked.assign(is_homograph=ranked.label.isin(homographs)), score_col=measure
+    )
+
 
 # --------------------------------------------------------------- Table 1
 def table1_stats(
     spark: SparkSession, *, sb_scale: float = 1.0, tus_sf: float = 1.0,
-    nyc_sf: float = 0.3, seed: int = 0,
+    nyc_sf: float = 0.3,
 ) -> pd.DataFrame:
     """Dataset statistics: #tables, #attrs, #values, #homographs."""
     rows = []
-    sb = sb_lake(spark, scale=sb_scale, seed=seed)
+    sb = sb_lake(spark, scale=sb_scale, seed=SEED)
     s = lake_stats(sb.cells)
     rows.append(("SB", s["n_tables"], s["n_attrs"], s["n_values"], len(sb.homographs)))
 
-    tus = tus_lake(spark, sf=tus_sf, seed=seed)
+    tus = tus_lake(spark, sf=tus_sf, seed=SEED)
     s = lake_stats(tus.cells)
-    truth = definition2_truth(tus.cells, tus.column_domains(spark))
+    clean, truth = remove_homographs(spark, tus)
     n_hom = int(truth["is_homograph"].sum())
     rows.append(("TUS-lite", s["n_tables"], s["n_attrs"], s["n_values"], n_hom))
 
-    clean, _ = remove_homographs(spark, tus)
     s = lake_stats(clean)
     rows.append(("TUS-I (clean)", s["n_tables"], s["n_attrs"], s["n_values"], 0))
 
-    nyc = nyc_lake(spark, sf=nyc_sf, seed=seed)
+    nyc = nyc_lake(spark, sf=nyc_sf, seed=SEED)
     s = lake_stats(nyc.cells)
     rows.append(("NYC-lite", s["n_tables"], s["n_attrs"], s["n_values"], None))
     out = pd.DataFrame(
@@ -67,26 +83,17 @@ def table1_stats(
 
 
 # ------------------------------------------------- §5.1: SB top-55 study
-def sb_top55(
-    spark: SparkSession, *, scale: float = 1.0, seed: int = 0,
-    n_samples: int | None = None,
-) -> dict:
-    """Top-55 precision of BC, LCC and the D4 baseline on SB."""
-    sb = sb_lake(spark, scale=scale, seed=seed)
+def sb_top55(spark: SparkSession, *, scale: float = 1.0) -> dict:
+    """Top-55 precision of exact BC, LCC and the D4 baseline on SB."""
+    sb = sb_lake(spark, scale=scale, seed=SEED)
     homs = set(sb.homographs)
     k = len(homs)
     out: dict = {"k": k}
 
     graph = build_graph(sb.cells)
     for measure in ("bc", "lcc"):
-        ranked = rank_graph(
-            spark, graph, measure=measure,
-            n_samples=n_samples if measure == "bc" else None, seed=seed,
-        )
-        curve = topk_curve(
-            ranked.assign(is_homograph=ranked.label.isin(homs)), score_col=measure
-        )
-        out[measure] = metrics_at_k(curve, k)
+        ranked = rank_graph(spark, graph, measure=measure)
+        out[measure] = metrics_at_k(_curve(ranked, homs, measure), k)
 
     res = discover_domains(sb.cells)
     detected = set(res.homographs())
@@ -111,22 +118,22 @@ def sb_top55(
 
 
 # ------------------------------------------------------ Tables 2 and 3
-def _clean_tus(spark, sf, seed):
+def _clean_tus(spark, sf):
     """TUS-lite, its homograph-free TUS-I cells and its column domains,
     the last two cached for repeated injection."""
-    lake = tus_lake(spark, sf=sf, seed=seed)
+    lake = tus_lake(spark, sf=sf, seed=SEED)
     clean, _ = remove_homographs(spark, lake)
     clean = clean.cache()
     clean.count()
     return lake, clean, lake.column_domains(spark).cache()
 
 
-def _injection_sweep(spark, *, sf, n, runs, n_samples, seed, settings):
+def _injection_sweep(spark, *, sf, n, runs, n_samples, settings):
     """For each ``(meanings, min_cardinality, run_seed)`` of ``settings``,
     yield the % of ``n`` homographs injected into TUS-I that rank in the
     BC top-``n``, averaged over ``runs`` injections seeded
     ``run_seed + r``."""
-    _, clean, cd = _clean_tus(spark, sf, seed)
+    _, clean, cd = _clean_tus(spark, sf)
     for meanings, min_cardinality, run_seed in settings:
         hits = []
         for r in range(runs):
@@ -138,10 +145,7 @@ def _injection_sweep(spark, *, sf, n, runs, n_samples, seed, settings):
                 spark, build_graph(inj.cells), measure="bc",
                 n_samples=n_samples, seed=run_seed + r,
             )
-            curve = topk_curve(
-                ranked.assign(is_homograph=ranked.label.isin(inj.injected)),
-                score_col="bc",
-            )
+            curve = _curve(ranked, inj.injected, "bc")
             hits.append(hits_in_topk(curve, n, inj.injected) / n)
         yield 100 * float(np.mean(hits))
 
@@ -149,15 +153,15 @@ def _injection_sweep(spark, *, sf, n, runs, n_samples, seed, settings):
 def table2_cardinality(
     spark: SparkSession, *, sf: float = 1.0, n: int = 50, runs: int = 4,
     thresholds: tuple = (0, 100, 200, 300, 400, 500),
-    n_samples: int = 1500, seed: int = 0,
+    n_samples: int = 1500,
 ) -> pd.DataFrame:
     """% of ``n`` injected homographs (2 meanings) in the top-``n`` by BC
     vs the attribute-cardinality threshold of the replaced values.
     Thresholds are scaled by ``sf`` (column sizes scale with sf)."""
     scaled = [int(round(thr * sf)) for thr in thresholds]
     pcts = _injection_sweep(
-        spark, sf=sf, n=n, runs=runs, n_samples=n_samples, seed=seed,
-        settings=[(2, c, seed * 1000 + thr) for thr, c in zip(thresholds, scaled)],
+        spark, sf=sf, n=n, runs=runs, n_samples=n_samples,
+        settings=[(2, c, thr) for thr, c in zip(thresholds, scaled)],
     )
     rows = []
     for thr, c, pct in zip(thresholds, scaled, pcts):
@@ -170,15 +174,14 @@ def table2_cardinality(
 
 def table3_meanings(
     spark: SparkSession, *, sf: float = 1.0, n: int = 50, runs: int = 4,
-    meanings: tuple = (2, 3, 4, 5, 6, 7, 8), min_cardinality: int = 500,
-    n_samples: int = 1500, seed: int = 0,
+    meanings: tuple = (2, 3, 4, 5, 6, 7, 8), n_samples: int = 1500,
 ) -> pd.DataFrame:
     """% of injected homographs in the top-``n`` vs number of meanings,
     with replaced values from attributes of cardinality ≥ 500·sf."""
-    scaled = int(round(min_cardinality * sf))
+    scaled = int(round(TABLE3_MIN_CARDINALITY * sf))
     pcts = _injection_sweep(
-        spark, sf=sf, n=n, runs=runs, n_samples=n_samples, seed=seed,
-        settings=[(m, scaled, seed * 1000 + 37 * m) for m in meanings],
+        spark, sf=sf, n=n, runs=runs, n_samples=n_samples,
+        settings=[(m, scaled, 37 * m) for m in meanings],
     )
     rows = []
     for m, pct in zip(meanings, pcts):
@@ -188,24 +191,23 @@ def table3_meanings(
 
 
 # --------------------------------------------- §5.3: TUS top-k (Fig. 7)
-def tus_topk(
-    spark: SparkSession, *, sf: float = 1.0, n_samples: int = 3000,
-    seed: int = 0, ks: tuple = (100, 200, 500, 1000, 2000),
-) -> dict:
-    """Top-k precision/recall/F1 on TUS-lite with its natural homographs."""
-    lake = tus_lake(spark, sf=sf, seed=seed)
+def tus_topk(spark: SparkSession, *, sf: float = 1.0, n_samples: int = 3000) -> dict:
+    """Top-k precision/recall/F1 on TUS-lite with its natural homographs,
+    at each fixed k below their count."""
+    lake = tus_lake(spark, sf=sf, seed=SEED)
     truth = definition2_truth(lake.cells, lake.column_domains(spark))
     homs = set(truth.label[truth.is_homograph])
     ranked = rank_graph(
-        spark, build_graph(lake.cells), measure="bc", n_samples=n_samples, seed=seed
+        spark, build_graph(lake.cells), measure="bc", n_samples=n_samples, seed=SEED
     )
-    curve = topk_curve(
-        ranked.assign(is_homograph=ranked.label.isin(homs)), score_col="bc"
-    )
+    curve = _curve(ranked, homs, "bc")
     n_hom = len(homs)
     out = {
         "n_homographs": n_hom,
-        "at_k": {k: metrics_at_k(curve, k) for k in ks if k < n_hom},
+        "at_k": {
+            k: metrics_at_k(curve, k)
+            for k in (100, 200, 500, 1000, 2000) if k < n_hom
+        },
         "at_n_hom": metrics_at_k(curve, n_hom),
         "best_f1": best_f1(curve),
         "top10": curve.head(10)[["rank", "label", "bc", "is_homograph"]],
@@ -225,26 +227,23 @@ def tus_topk(
 
 # -------------------------------------------- §5.4: scalability (Figs 8–9)
 def scalability_samples(
-    spark: SparkSession, *, sf: float = 1.0, seed: int = 0,
+    spark: SparkSession, *, sf: float = 1.0,
     sample_sizes: tuple = (250, 500, 1000, 2000, 4000, None),
 ) -> pd.DataFrame:
     """Precision@#homographs and wall-clock vs BC sample count (Fig. 8);
     a sample size of ``None`` is exact BC, over every node."""
     print("== Fig 8 analogue: precision/time vs sample size (TUS-lite) ==")
-    lake = tus_lake(spark, sf=sf, seed=seed)
+    lake = tus_lake(spark, sf=sf, seed=SEED)
     truth = definition2_truth(lake.cells, lake.column_domains(spark))
     homs = set(truth.label[truth.is_homograph])
     n_hom = len(homs)
-    graph = build_graph(lake.cells, prune_unique=True)
+    graph = build_graph(lake.cells)
     rows = []
     for s in sample_sizes:
         s = None if s is None else min(s, graph.n_nodes)
         t0 = time.perf_counter()
-        ranked = rank_graph(spark, graph, measure="bc", n_samples=s, seed=seed)
-        curve = topk_curve(
-            ranked.assign(is_homograph=ranked.label.isin(homs)), score_col="bc"
-        )
-        prec = metrics_at_k(curve, n_hom)["precision"]
+        ranked = rank_graph(spark, graph, measure="bc", n_samples=s, seed=SEED)
+        prec = metrics_at_k(_curve(ranked, homs, "bc"), n_hom)["precision"]
         dt = time.perf_counter() - t0
         rows.append((graph.n_nodes if s is None else s, prec, dt))
         label = "exact" if s is None else s
@@ -253,16 +252,15 @@ def scalability_samples(
 
 
 def scalability_subgraphs(
-    spark: SparkSession, *, sf: float = 0.3, seed: int = 0,
+    spark: SparkSession, *, sf: float = 0.3,
     edge_targets: tuple = (20_000, 50_000, 100_000, 200_000),
-    sample_frac: float | None = None, n_sources: int = 100,
 ) -> pd.DataFrame:
     """Approx-BC runtime vs subgraph size on the NYC-scale lake (Fig. 9);
     also reports the Spark graph-construction time (§5.4)."""
     print("== Fig 9 analogue: approx-BC runtime vs subgraph size (NYC) ==")
-    lake = nyc_lake(spark, sf=sf, seed=seed)
+    lake = nyc_lake(spark, sf=sf, seed=SEED)
     t0 = time.perf_counter()
-    graph = build_graph(lake.cells, prune_unique=True)
+    graph = build_graph(lake.cells)
     build_s = time.perf_counter() - t0
     edges = graph.edge_frame()
     print(
@@ -273,16 +271,13 @@ def scalability_subgraphs(
     for target in edge_targets:
         if target > len(edges):
             continue
-        csr = attribute_induced_subgraph(edges, target, seed=seed)
-        # Fixed source count by default → runtime is linear in edges
-        # (O(s·m)); a sample fraction reproduces the paper's 1% setting.
-        s = n_sources if sample_frac is None else max(16, int(csr.n * sample_frac))
-        s = min(s, csr.n)
-        # Time the Brandes kernel itself (one task's work per source):
-        # the O(s·m) claim of Fig. 9. The distributed path adds a fixed
-        # per-job Spark overhead that would swamp the signal at
+        csr = attribute_induced_subgraph(edges, target, seed=SEED)
+        # Time the Brandes kernel itself over a fixed number of sources
+        # (capped at the subgraph's nodes), so runtime is O(s·m): linear
+        # in edges, the claim of Fig. 9. The distributed path adds a
+        # fixed per-job Spark overhead that would swamp the signal at
         # benchmark scale; it is measured separately in Fig. 8's sweep.
-        srcs = sample_sources(csr, s, seed=seed)
+        srcs = sample_sources(csr, FIG9_SOURCES, seed=SEED)
         t0 = time.perf_counter()
         dependency_sum(csr.indptr, csr.indices, srcs)
         dt = time.perf_counter() - t0
@@ -295,13 +290,13 @@ def scalability_subgraphs(
 
 # ----------------------------------------------- §5.5: impact on D4
 def d4_impact(
-    spark: SparkSession, *, sf: float = 0.5, seed: int = 0,
+    spark: SparkSession, *, sf: float = 0.5,
     injections: tuple = (0, 50, 100, 150, 200),
     meanings: tuple = (2, 4, 6),
 ) -> pd.DataFrame:
     """Number of D4 domains (and per-column stats) as injected homographs
     increase (Fig. 10)."""
-    lake, clean, cd = _clean_tus(spark, sf, seed)
+    lake, clean, cd = _clean_tus(spark, sf)
     n_true = lake.columns["domain"].nunique()
     rows = []
     base = None  # the 0-injection run is shared across meaning settings
@@ -314,7 +309,7 @@ def d4_impact(
             else:
                 cells = inject_homographs(
                     spark, clean, cd, n=n_inj, meanings=m,
-                    min_cardinality=0, seed=seed + n_inj + m,
+                    min_cardinality=0, seed=n_inj + m,
                 ).cells
                 res = discover_domains(cells)
             mx, avg = res.domains_per_column()

@@ -10,7 +10,9 @@ depress the BC of those homographs (§5.1).
 Category vocabularies are synthetic tokens ``CAT:NNNNN`` (so accidental
 cross-category collisions are impossible); homographs are extra
 human-readable tokens added to exactly two category vocabularies and
-force-included in every column of both categories. Small *closed*
+sampled into columns like any other value; a token that sampling misses
+in every column of one of its categories is forced into one random
+column of that category. Small *closed*
 vocabularies (country, state, car brand, …) fit entirely inside a
 column, giving the high cross-column overlap that lets domain discovery
 (D4) find them; large *open* vocabularies (city, names, movies, …)

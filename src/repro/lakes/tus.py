@@ -7,8 +7,9 @@ generates the same structure synthetically:
 
 - ``n_domains`` semantic domains, 75% string / 25% numeric, with
   lognormal (heavily skewed) vocabulary sizes;
-- each domain is sliced into several columns, each a random
-  ``15–95%``-sized subset of the domain vocabulary (skewed attribute
+- each domain is sliced into several columns, each holding a uniform
+  ``8–60%`` of the domain vocabulary: a localized window of it for 70%
+  of the columns, a random subset for the rest (skewed attribute
   cardinalities, the paper's "stress test");
 - numeric domains draw zipf-weighted integers from one shared range, so
   small numbers ("2", "50", "125") naturally collide across domains —

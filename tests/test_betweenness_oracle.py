@@ -1,25 +1,56 @@
-"""networkx as the BC oracle: exact Brandes, single-process and fanned
-out over Spark, equals ``nx.betweenness_centrality`` on random
-bipartite graphs, repeated pairs included. On graphs forced to contain
-twins, the twin-weighted Spark BC also equals the unweighted kernel."""
+"""networkx as the BC oracle: one source's Brandes dependencies on the
+Example 3.1 graph equal networkx's single-source subset BC, and exact
+Brandes, single-process and fanned out over Spark, equals
+``nx.betweenness_centrality`` on random bipartite graphs, repeated pairs
+included. On graphs forced to contain twins, the twin-weighted Spark BC
+also equals the unweighted kernel."""
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.core.betweenness import (
     betweenness_exact,
     betweenness_spark,
     betweenness_values,
+    brandes_dependencies,
 )
-from tests.fixtures import bipartite_graphs, twin_bipartite_graphs
+from repro.core.graph import build_graph
+from repro.lakes.datalake import lake_from_tables
+from tests.fixtures import EXAMPLE31_TABLES, bipartite_graphs, twin_bipartite_graphs
 
 
-def _nx_bc(graph) -> np.ndarray:
+def _nx_graph(graph) -> nx.Graph:
     g = nx.Graph()
     g.add_nodes_from(range(graph.n_nodes))
     g.add_edges_from(graph.edge_frame().itertuples(index=False))
-    bc = nx.betweenness_centrality(g, normalized=True)
+    return g
+
+
+def _nx_bc(graph) -> np.ndarray:
+    bc = nx.betweenness_centrality(_nx_graph(graph), normalized=True)
     return np.array([bc[u] for u in range(graph.n_nodes)])
+
+
+@pytest.fixture(scope="module")
+def g31(spark):
+    return build_graph(
+        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
+    )
+
+
+@pytest.mark.parametrize("source", [0, 3, 7, 11])
+def test_dependencies_match_networkx(g31, source):
+    """``delta_s(v) = sum_t sigma_st(v) / sigma_st``; networkx halves
+    subset BC on undirected graphs, hence the factor 2."""
+    g = _nx_graph(g31)
+    want = nx.betweenness_centrality_subset(
+        g, [source], list(g.nodes), normalized=False
+    )
+    got = brandes_dependencies(g31.csr.indptr, g31.csr.indices, source)
+    assert np.allclose(
+        got, [2 * want[u] for u in range(g31.n_nodes)], rtol=0, atol=1e-12
+    )
 
 
 @settings(max_examples=200, deadline=None)

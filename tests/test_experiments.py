@@ -30,7 +30,7 @@ def test_table1_harness(spark):
 
 
 def test_sb_top55_harness(spark):
-    out = sb_top55(spark, scale=0.12, n_samples=1500)
+    out = sb_top55(spark, scale=0.12)
     assert out["k"] == 55
     for measure in ("bc", "lcc", "d4"):
         assert 0.0 <= out[measure]["precision"] <= 1.0
@@ -56,7 +56,7 @@ def test_table3_harness(spark):
 
 
 def test_tus_topk_harness(spark):
-    out = tus_topk(spark, sf=0.1, n_samples=400, ks=(20, 50))
+    out = tus_topk(spark, sf=0.1, n_samples=400)
     assert out["n_homographs"] > 0
     assert len(out["top10"]) == 10
     assert out["at_n_hom"]["precision"] > 0.3
@@ -71,9 +71,7 @@ def test_scalability_samples_harness(spark):
 
 
 def test_scalability_subgraphs_harness(spark):
-    out = scalability_subgraphs(
-        spark, sf=0.01, edge_targets=(500, 2000), n_sources=50
-    )
+    out = scalability_subgraphs(spark, sf=0.01, edge_targets=(500, 2000))
     assert len(out) == 2
     assert out.edges.iloc[1] > out.edges.iloc[0]
     assert "build_seconds" in out.attrs
