@@ -50,7 +50,10 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.core.graph import build_graph  # noqa: E402
 from repro.eval.experiments import spark_session  # noqa: E402
+from repro.lakes.datalake import lake_from_tables  # noqa: E402
+from tests.fixtures import EXAMPLE31_TABLES, FIGURE1_TABLES  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +73,15 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="session")
+def fig1(spark):
+    """The paper's Figure 1 lake."""
+    return lake_from_tables(spark, FIGURE1_TABLES)
+
+
+@pytest.fixture(scope="session")
+def g31(spark):
+    """The unpruned graph of the Example 3.1 sub-lake."""
+    return build_graph(lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False)

@@ -31,6 +31,7 @@ by ``(attr, value)`` so that the domains do not depend on lake row order.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -72,18 +73,10 @@ class D4Result:
     def n_domains(self) -> int:
         return len(self.domains)
 
-    def value_domain_counts(self) -> pd.Series:
-        """value → number of strong domains containing it."""
-        counts: dict[str, int] = {}
-        for vals in self.domains.values():
-            for v in vals:
-                counts[v] = counts.get(v, 0) + 1
-        return pd.Series(counts, dtype="int64")
-
     def homographs(self) -> list[str]:
         """Values assigned to ≥2 strong domains (paper's D4 adaptation)."""
-        counts = self.value_domain_counts()
-        return sorted(counts[counts >= 2].index)
+        counts = Counter(v for vals in self.domains.values() for v in vals)
+        return sorted(v for v, c in counts.items() if c >= 2)
 
     def domains_per_column(self) -> tuple[int, float]:
         """(max, avg) strong domains assigned per covered column —
@@ -124,10 +117,7 @@ def discover_domains(cells: DataFrame) -> D4Result:
     # foreign columns into the column's core fails the threshold and
     # splinters into its own local domain.
     local_domains: list[tuple[str, frozenset]] = []  # (attr, values)
-    for attr in string_attrs:
-        values = by_col.get(attr, [])
-        if len(values) == 0:
-            continue
+    for attr, values in by_col.items():
         classes: dict[frozenset, list[str]] = {}
         singles: list[str] = []
         for v in values:
@@ -179,17 +169,15 @@ def discover_domains(cells: DataFrame) -> D4Result:
         attrs = {local_domains[i][0] for i in members}
         if len(attrs) < MIN_SUPPORT:
             continue
+        # ≥ MIN_SUPPORT columns, so ≥2 local domains: ``cand`` is never empty.
         sets = [local_domains[i][1] for i in members]
-        if len(sets) > 1:
-            cand = list(combinations(range(len(sets)), 2))
-            if len(cand) > 200:
-                idx = rng.choice(len(cand), size=200, replace=False)
-                cand = [cand[i] for i in idx]
-            jac = [
-                len(sets[i] & sets[j]) / len(sets[i] | sets[j]) for i, j in cand
-            ]
-            if float(np.mean(jac)) < ROBUSTNESS:
-                continue
+        cand = list(combinations(range(len(sets)), 2))
+        if len(cand) > 200:
+            idx = rng.choice(len(cand), size=200, replace=False)
+            cand = [cand[i] for i in idx]
+        jac = [len(sets[i] & sets[j]) / len(sets[i] | sets[j]) for i, j in cand]
+        if float(np.mean(jac)) < ROBUSTNESS:
+            continue
         domain_vals = frozenset().union(*sets)
         domains[next_id] = domain_vals
         assign_rows.extend((a, next_id) for a in sorted(attrs))

@@ -120,12 +120,12 @@ def sb_top55(spark: SparkSession, *, scale: float = 1.0) -> dict:
 # ------------------------------------------------------ Tables 2 and 3
 def _clean_tus(spark, sf):
     """TUS-lite, its homograph-free TUS-I cells and its column domains,
-    the last two cached for repeated injection."""
+    the last two materialized for repeated injection. A checkpoint, not
+    a cache: a cached plan still ships the lake's local rows in every
+    task that reads it."""
     lake = tus_lake(spark, sf=sf, seed=SEED)
     clean, _ = remove_homographs(spark, lake)
-    clean = clean.cache()
-    clean.count()
-    return lake, clean, lake.column_domains(spark).cache()
+    return lake, clean.localCheckpoint(), lake.column_domains(spark).cache()
 
 
 def _injection_sweep(spark, *, sf, n, runs, n_samples, settings):

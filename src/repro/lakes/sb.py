@@ -143,50 +143,42 @@ def sb_lake(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> SBLake
         cat_homs.setdefault(a, []).append(token)
         cat_homs.setdefault(b, []).append(token)
 
-    col_values: list[tuple[str, str, str, np.ndarray]] = []
+    col_meta: list[tuple[str, str, str]] = []  # (table_id, col_id, category)
+    values: list[np.ndarray] = []
     for table_id, (rows, cats) in _TABLES.items():
         rows = rows or default_rows
         for j, cat in enumerate(cats):
-            col_id = f"c{j}_{cat}"
             # Homograph tokens are ordinary members of both category
             # vocabularies — sampled into columns like any other value.
             pool = np.concatenate(
                 [_vocab(cat, scale), np.array(cat_homs.get(cat, []), dtype=object)]
             )
-            if len(pool) <= rows:
-                chosen = pool
-            else:
-                chosen = rng.choice(pool, size=rows, replace=False)
-            col_values.append((table_id, col_id, cat, chosen))
+            if len(pool) > rows:
+                pool = rng.choice(pool, size=rows, replace=False)
+            col_meta.append((table_id, f"c{j}_{cat}", cat))
+            values.append(pool)
 
     # Guarantee every homograph realizes both meanings: if sampling missed
     # a whole category side, force the token into one random column of it.
-    placed: dict[tuple[str, str], bool] = {}
-    for _, _, cat, chosen in col_values:
-        homs = set(cat_homs.get(cat, []))
-        if homs:
-            for t in homs & set(chosen):
-                placed[(cat, t)] = True
+    realized = {(cat, v) for (_, _, cat), vals in zip(col_meta, values) for v in vals}
     cols_by_cat: dict[str, list[int]] = {}
-    for i, (_, _, cat, _) in enumerate(col_values):
+    for i, (_, _, cat) in enumerate(col_meta):
         cols_by_cat.setdefault(cat, []).append(i)
     for token, (a, b) in _HOMOGRAPHS.items():
         for cat in (a, b):
-            if not placed.get((cat, token)):
+            if (cat, token) not in realized:
                 i = int(rng.choice(cols_by_cat[cat]))
-                t_id, c_id, c_cat, chosen = col_values[i]
-                col_values[i] = (t_id, c_id, c_cat, np.append(chosen, token))
+                values[i] = np.append(values[i], token)
 
-    frames = [
-        pd.DataFrame({"table_id": t, "col_id": c, "value": vals})
-        for t, c, _, vals in col_values
-    ]
-    col_meta = [(t, c, cat) for t, c, cat, _ in col_values]
-
-    memberships = pd.concat(frames, ignore_index=True)
-    cells = lake_from_memberships(spark, memberships)
+    memberships = pd.concat(
+        [
+            pd.DataFrame({"table_id": t, "col_id": c, "value": vals})
+            for (t, c, _), vals in zip(col_meta, values)
+        ],
+        ignore_index=True,
+    )
     return SBLake(
-        cells=cells,
+        cells=lake_from_memberships(spark, memberships),
         homographs=sorted(_HOMOGRAPHS),
         columns=pd.DataFrame(col_meta, columns=["table_id", "col_id", "category"]),
     )

@@ -71,9 +71,8 @@ def tus_lake(
 
     ``sf=1`` yields ≈45k distinct values over ≈400 columns with column
     cardinalities from 3 to several thousand (half above ~500, as in the
-    paper's TUS). ``n_planted=0, null_marker=False`` produces a lake
-    whose only homographs are natural numeric collisions — the starting
-    point for TUS-I (which then removes those too).
+    paper's TUS). TUS-I (§4.3) is this default lake with every homograph
+    removed by :func:`repro.lakes.tus_inject.remove_homographs`.
     """
     rng = np.random.default_rng(seed)
     n_numeric = int(n_domains * frac_numeric)
@@ -117,30 +116,27 @@ def tus_lake(
             )
 
     # --- planted multi-domain string homographs ------------------------
+    # domain → its planted tokens, in token order.
     string_doms = [d for d, num in is_numeric.items() if not num]
-    planted: dict[str, list[str]] = {}
+    planted: dict[str, list[str]] = {dom: [] for dom in vocabs}
+    tokens: list[str] = []
     if n_planted and len(string_doms) >= 2:
         # heavy-tailed meaning counts: mostly 2, tail toward many.
         meanings = np.minimum(
             2 + np.floor(rng.pareto(2.0, n_planted) * 1.5).astype(int),
             len(string_doms),
         )
-        for k in range(n_planted):
-            token = f"HOM:{k:06d}"
-            doms = rng.choice(string_doms, size=int(meanings[k]), replace=False)
-            planted[token] = list(doms)
-        for token, doms in planted.items():
-            for dom in doms:
-                vocabs[dom] = np.append(vocabs[dom], token)
+        tokens = [f"HOM:{k:06d}" for k in range(n_planted)]
+        for token, m in zip(tokens, meanings):
+            for dom in rng.choice(string_doms, size=int(m), replace=False):
+                planted[dom].append(token)
 
     # --- slice domains into columns ------------------------------------
-    frames = []
-    col_meta = []
-    col_counter = 0
+    cols: list[tuple[str, np.ndarray]] = []  # (domain, values)
     for dom in vocabs:
         n_cols = int(rng.integers(5, 15))
-        vocab = rng.permutation(vocabs[dom])
-        forced = [t for t, doms in planted.items() if dom in doms]
+        vocab = rng.permutation(np.append(vocabs[dom], planted[dom]))
+        dom_cols = []
         for _ in range(n_cols):
             frac = rng.uniform(0.08, 0.6)
             size = min(len(vocab), max(3, int(len(vocab) * frac)))
@@ -153,48 +149,35 @@ def tus_lake(
                 # lakes (and the reason D4 sees more domains than the
                 # ground truth has, §5.5).
                 start = int(rng.integers(0, len(vocab) - size + 1))
-                vals = vocab[start : start + size]
+                dom_cols.append(vocab[start : start + size])
             else:
-                vals = rng.choice(vocab, size=size, replace=False)
-            col_meta.append((dom, col_counter, vals, forced))
-            col_counter += 1
-    # each planted token must realize in ≥1 column of each of its domains:
-    # force it into the first column of the domain if sampling missed it.
-    seen: dict[tuple[str, str], bool] = {}
-    for dom, cid, vals, forced in col_meta:
-        if forced:
-            present = set(vals) & set(forced)
-            for t in present:
-                seen[(dom, t)] = True
-    fixed_meta = []
-    for dom, cid, vals, forced in col_meta:
-        missing = [t for t in forced if not seen.get((dom, t))]
+                dom_cols.append(rng.choice(vocab, size=size, replace=False))
+        # each planted token must realize in ≥1 column of each of its
+        # domains: the ones sampling missed go into the first column.
+        seen = set().union(*dom_cols)
+        missing = [t for t in planted[dom] if t not in seen]
         if missing:
-            vals = np.concatenate([vals, np.array(missing, dtype=object)])
-            for t in missing:
-                seen[(dom, t)] = True
-        fixed_meta.append((dom, cid, vals))
+            dom_cols[0] = np.append(dom_cols[0], missing)
+        cols.extend((dom, vals) for vals in dom_cols)
 
     # --- null marker ----------------------------------------------------
     if null_marker:
-        marked = rng.random(len(fixed_meta)) < 0.05
-        fixed_meta = [
-            (dom, cid, np.append(vals, NULL_MARKER) if m else vals)
-            for (dom, cid, vals), m in zip(fixed_meta, marked)
+        marked = rng.random(len(cols)) < 0.05
+        cols = [
+            (dom, np.append(vals, NULL_MARKER) if m else vals)
+            for (dom, vals), m in zip(cols, marked)
         ]
 
     # --- group columns into tables (3–5 columns each, mixed domains) ----
-    order = rng.permutation(len(fixed_meta))
-    rows = []
-    meta_rows = []
-    t = 0
-    i = 0
+    order = rng.permutation(len(cols))
+    rows, meta_rows = [], []
+    t = i = 0
     while i < len(order):
         width = int(rng.integers(3, 6))
         table_id = f"t{t:04d}"
-        for j, idx in enumerate(order[i : i + width]):
-            dom, cid, vals = fixed_meta[idx]
-            col_id = f"c{cid:04d}"
+        for idx in order[i : i + width]:
+            dom, vals = cols[idx]
+            col_id = f"c{idx:04d}"
             rows.append(
                 pd.DataFrame({"table_id": table_id, "col_id": col_id, "value": vals})
             )
@@ -209,7 +192,7 @@ def tus_lake(
     columns = pd.DataFrame(
         meta_rows, columns=["table_id", "col_id", "attr", "domain", "is_numeric"]
     )
-    return TUSLake(cells=cells, columns=columns, planted=sorted(planted))
+    return TUSLake(cells=cells, columns=columns, planted=tokens)
 
 
 def definition2_truth(cells: DataFrame, column_domains: DataFrame) -> pd.DataFrame:

@@ -1,12 +1,16 @@
 """Shared test fixtures: the paper's Figure 1 running example, random
-bipartite graphs for the networkx oracles, and row-shuffled lakes.
+bipartite graphs for the networkx oracles, row-shuffled lakes, a
+Spark job counter and a frame digest.
 
 ``FIGURE1_TABLES`` reconstructs the four tables of the paper (donors,
 zoos, car imports, corporate sales); ``EXAMPLE31_TABLES`` restricts to
 the four attributes of Example 3.1 (T2.name, T1.At Risk, T4.Name,
 T3.C2), the subgraph on which the paper quotes exact LCC scores.
 """
+import hashlib
+
 import numpy as np
+import pandas as pd
 from hypothesis import strategies as st
 
 from repro.core.graph import BipartiteGraph
@@ -107,3 +111,20 @@ def shuffled(spark, cells, seed: int):
     return spark.createDataFrame(
         pdf.iloc[order].reset_index(drop=True), schema=CELLS_SCHEMA
     )
+
+
+def spark_jobs(spark, group, fn) -> int:
+    """Spark jobs that ``fn()`` runs, counted through a job group."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def frame_digest(frame: pd.DataFrame) -> str:
+    """sha256 of a frame's CSV text, to pin its content in a test."""
+    return hashlib.sha256(frame.to_csv(index=False).encode()).hexdigest()

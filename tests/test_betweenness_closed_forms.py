@@ -53,6 +53,7 @@ def test_complete_graphs(n):
 def test_cycle_graphs_symmetric(n):
     bc = betweenness_exact(_cycle(n), normalized=False)
     assert np.allclose(bc, bc[0])
+    assert bc[0] > 0
 
 
 @pytest.mark.parametrize("a,b", [(2, 2), (2, 3), (3, 3), (1, 4)])

@@ -1,13 +1,13 @@
 """Kernel tests for Brandes betweenness (repro.core.betweenness).
 
-Closed forms (path, star, complete, cycle graphs), a brute-force
-reference implementation cross-checked on random graphs (hypothesis),
-and invariants of the dependency vector.
+A brute-force reference implementation cross-checked on random graphs
+(hypothesis), normalization, disconnected components, sampling, and
+invariants of the dependency vector. The closed forms on standard graph
+families are in ``test_betweenness_closed_forms``.
 """
 from collections import defaultdict, deque
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,37 +52,6 @@ def _brute_force_bc(csr: CSR) -> np.ndarray:
 
 def _path(n):
     return csr_from_arrays(np.arange(n - 1), np.arange(1, n), n)
-
-
-def test_path_graph_closed_form():
-    # P5: raw ordered-pair BC of node i is 2·i·(n-1-i).
-    csr = _path(5)
-    bc = betweenness_exact(csr, normalized=False)
-    assert np.allclose(bc, [0, 2 * 3, 2 * 4, 2 * 3, 0])
-
-
-def test_star_graph_center():
-    # K1,4: center lies on all pairs of leaves: 2·C(4,2)=12; leaves 0.
-    csr = csr_from_arrays(np.zeros(4, int), np.arange(1, 5), 5)
-    bc = betweenness_exact(csr, normalized=False)
-    assert bc[0] == pytest.approx(12)
-    assert np.allclose(bc[1:], 0)
-
-
-def test_complete_graph_zero():
-    n = 5
-    src, dst = zip(*[(i, j) for i in range(n) for j in range(i + 1, n)])
-    csr = csr_from_arrays(np.array(src), np.array(dst), n)
-    assert np.allclose(betweenness_exact(csr, normalized=False), 0)
-
-
-def test_cycle_graph_uniform():
-    # C6: all nodes equivalent by symmetry.
-    n = 6
-    csr = csr_from_arrays(np.arange(n), (np.arange(n) + 1) % n, n)
-    bc = betweenness_exact(csr, normalized=False)
-    assert np.allclose(bc, bc[0])
-    assert bc[0] > 0
 
 
 def test_normalization_constant():

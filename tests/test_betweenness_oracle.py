@@ -15,9 +15,7 @@ from repro.core.betweenness import (
     betweenness_values,
     brandes_dependencies,
 )
-from repro.core.graph import build_graph
-from repro.lakes.datalake import lake_from_tables
-from tests.fixtures import EXAMPLE31_TABLES, bipartite_graphs, twin_bipartite_graphs
+from tests.fixtures import bipartite_graphs, twin_bipartite_graphs
 
 
 def _nx_graph(graph) -> nx.Graph:
@@ -30,13 +28,6 @@ def _nx_graph(graph) -> nx.Graph:
 def _nx_bc(graph) -> np.ndarray:
     bc = nx.betweenness_centrality(_nx_graph(graph), normalized=True)
     return np.array([bc[u] for u in range(graph.n_nodes)])
-
-
-@pytest.fixture(scope="module")
-def g31(spark):
-    return build_graph(
-        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
-    )
 
 
 @pytest.mark.parametrize("source", [0, 3, 7, 11])

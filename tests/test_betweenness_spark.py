@@ -14,7 +14,7 @@ from repro.core.betweenness import (
 from repro.core.graph import build_graph
 from repro.graph.csr import csr_from_arrays, csr_from_edges, twin_classes
 from repro.lakes.datalake import lake_from_tables
-from tests.fixtures import EXAMPLE31_TABLES
+from tests.fixtures import EXAMPLE31_TABLES, spark_jobs
 
 
 def _random_csr(n=40, m=120, seed=3):
@@ -135,14 +135,11 @@ def test_chunked_sum_bit_identical(spark, n_samples):
 
 def test_one_spark_job(spark):
     """A BC call is one Spark job: no shuffle stage, no second collect."""
-    sc = spark.sparkContext
-    sc.setJobGroup("test_one_spark_job", "one BC call")
-    try:
-        betweenness_values(spark, _random_csr(seed=10), n_samples=20)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    assert len(sc.statusTracker().getJobIdsForGroup("test_one_spark_job")) == 1
+    jobs = spark_jobs(
+        spark, "test_one_spark_job",
+        lambda: betweenness_values(spark, _random_csr(seed=10), n_samples=20),
+    )
+    assert jobs == 1
 
 
 def test_empty_sources_yields_empty(spark):

@@ -1,6 +1,5 @@
 """Tests for the data-lake substrate (repro.lakes.datalake)."""
 import pandas as pd
-import pytest
 
 from repro.lakes.datalake import (
     lake_from_memberships,
@@ -9,11 +8,6 @@ from repro.lakes.datalake import (
 )
 from repro.oracle import assert_equivalent
 from tests.fixtures import FIGURE1_TABLES
-
-
-@pytest.fixture(scope="module")
-def fig1(spark):
-    return lake_from_tables(spark, FIGURE1_TABLES)
 
 
 def test_lake_from_tables_row_count(spark, fig1):

@@ -1,7 +1,6 @@
 """Tests for bipartite graph construction (repro.core.graph, paper §3.2)."""
 import numpy as np
 import pandas as pd
-import pytest
 from pyspark.sql import functions as F
 
 from repro.core.graph import build_graph, incidences
@@ -10,19 +9,6 @@ from repro.core.ranking import rank_frame
 from repro.lakes.datalake import CELLS_SCHEMA, lake_from_tables
 from repro.lakes.sb import sb_lake
 from repro.oracle import assert_equivalent
-from tests.fixtures import EXAMPLE31_TABLES, FIGURE1_TABLES
-
-
-@pytest.fixture(scope="module")
-def fig1(spark):
-    return lake_from_tables(spark, FIGURE1_TABLES)
-
-
-@pytest.fixture(scope="module")
-def g31(spark):
-    return build_graph(
-        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
-    )
 
 
 def test_incidences_oracle(spark, fig1):

@@ -10,18 +10,7 @@ from repro.baselines.d4 import discover_domains
 from repro.core.graph import build_graph, incidences
 from repro.lakes.tus import tus_lake
 from repro.lakes.tus_inject import inject_homographs
-
-
-def _jobs(spark, group, fn) -> int:
-    """Spark jobs that ``fn()`` runs, counted through a job group."""
-    sc = spark.sparkContext
-    sc.setJobGroup(group, group)
-    try:
-        fn()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    return len(sc.statusTracker().getJobIdsForGroup(group))
+from tests.fixtures import spark_jobs
 
 
 @pytest.fixture(scope="module")
@@ -42,5 +31,7 @@ def test_no_more_jobs_than_one_incidences_collect(spark, lake, step, extra):
         ),
         "discover_domains": lambda: discover_domains(lake.cells),
     }[step]
-    collect = _jobs(spark, f"{step}:collect", lambda: incidences(lake.cells).toPandas())
-    assert _jobs(spark, step, run) <= collect + extra
+    collect = spark_jobs(
+        spark, f"{step}:collect", lambda: incidences(lake.cells).toPandas()
+    )
+    assert spark_jobs(spark, step, run) <= collect + extra

@@ -14,14 +14,7 @@ from repro.core.graph import build_graph
 from repro.core.lcc import lcc_scores, lcc_values
 from repro.lakes.datalake import lake_from_tables
 from repro.oracle import assert_equivalent
-from tests.fixtures import EXAMPLE31_TABLES, EXAMPLE36_LCC, bipartite_graphs
-
-
-@pytest.fixture(scope="module")
-def g31(spark):
-    return build_graph(
-        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
-    )
+from tests.fixtures import EXAMPLE36_LCC, bipartite_graphs
 
 
 @pytest.fixture(scope="module")

@@ -1,18 +1,7 @@
 """Tests for score→label attachment and ranking (repro.core.ranking)."""
 import pandas as pd
-import pytest
 
-from repro.core.graph import build_graph
 from repro.core.ranking import MEASURE_ASCENDING, attach_labels, rank_values
-from repro.lakes.datalake import lake_from_tables
-from tests.fixtures import EXAMPLE31_TABLES
-
-
-@pytest.fixture(scope="module")
-def g31(spark):
-    return build_graph(
-        lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
-    )
 
 
 def test_measure_directions():

@@ -6,6 +6,7 @@ from repro.core.graph import incidences
 from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.lakes.datalake import lake_stats
 from repro.lakes.sb import _HOMOGRAPHS, _TABLES, sb_lake
+from tests.fixtures import frame_digest
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +95,18 @@ def test_scale_grows_lake(spark):
 def test_columns_metadata_matches_tables(sb):
     assert len(sb.columns) == 39
     assert set(sb.columns.table_id) == set(_TABLES)
+
+
+def test_benchmark_lake_pinned(spark):
+    """lakebench's ``sb-exact`` lake, cell for cell: a generator change
+    that moves one membership or column fails here."""
+    lake = sb_lake(spark, scale=0.1, seed=0)
+    key = ["table_id", "col_id", "value"]
+    cells = lake.cells.toPandas().sort_values(key, ignore_index=True)
+    assert len(cells) == 3722
+    assert frame_digest(cells) == (
+        "abe6eabcc9cc716d8a89c1755158f05fcbbeebd68ef200ab329f089082ba08af"
+    )
+    assert frame_digest(lake.columns) == (
+        "bdc1c6ecef122652ef602fb7c4bcf6907ffb555cdcb6f734984c63cf6cd047fd"
+    )

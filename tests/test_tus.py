@@ -7,6 +7,7 @@ from repro.core.graph import incidences
 from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.lakes.tus import NULL_MARKER, definition2_truth, tus_lake
 from repro.oracle import assert_equivalent
+from tests.fixtures import frame_digest
 
 SF = 0.08
 
@@ -116,3 +117,20 @@ def test_tables_group_multiple_columns(lake):
     per_table = lake.columns.groupby("table_id").size()
     assert per_table.max() <= 5
     assert per_table.median() >= 3
+
+
+def test_benchmark_lake_pinned(spark):
+    """lakebench's ``tusi-inject`` source lake, cell for cell: a
+    generator change that moves one membership, column or planted token
+    fails here."""
+    lake = tus_lake(spark, sf=0.2, seed=0)
+    key = ["table_id", "col_id", "value"]
+    cells = lake.cells.toPandas().sort_values(key, ignore_index=True)
+    assert len(cells) == 31149
+    assert frame_digest(cells) == (
+        "8d686fd22b75099099659abd30f4b31fc0d087ff2f03924189b7e9708e9cb3a8"
+    )
+    assert frame_digest(lake.columns) == (
+        "8f497f410b9be8a0710e3a63c8ff69987501ad28edd3a3cf265e63e5d4673cfc"
+    )
+    assert lake.planted == [f"HOM:{k:06d}" for k in range(400)]
