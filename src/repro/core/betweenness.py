@@ -5,23 +5,30 @@ dependency-accumulation pass per source node. The approximation is the
 source-sampling estimator used by the paper's Networkit setup: run
 Brandes from ``s`` sampled sources and scale the summed dependencies by
 ``n / s``, which is unbiased for uniform sampling.
+:func:`brandes_dependencies` is that sweep on the full graph, Fig. 9's
+O(s·m) kernel and the tests' reference.
 
 Twins: nodes with identical neighbour sets
 (:func:`~repro.graph.csr.twin_classes`) have identical dependency
 vectors, because swapping two twins is a graph automorphism and a twin
-of the source is never interior to a shortest path from it. So the
-sources collapse onto their classes: one sweep per class, from its
-first source, weighted by how many sources it has. Exact BC runs one
-sweep per class; sampled BC keeps its sample and its ``n / s`` scale.
-This is the "identical vertices" reduction of Sariyüce et al.,
-*Shattering and Compressing Networks for Betweenness Centrality*
-(SDM 2013). A graph without twins gets the plain per-source sum.
+of the source is never interior to a shortest path from it. Twins are
+never adjacent, and their class is adjacent to all of each neighbour
+class. So :func:`betweenness_values` sweeps the class graph
+(:func:`~repro.graph.csr.class_graph`), one sweep per class of sources
+weighted by how many sources it has, and expands the class scores to
+nodes once at the end: the "identical vertices" reduction of Sariyüce
+et al., *Shattering and Compressing Networks for Betweenness
+Centrality* (SDM 2013). Exact BC runs one sweep per class; sampled BC
+keeps its sample and its ``n / s`` scale.
 
-Distribution: Brandes is embarrassingly parallel over sources. One
-Spark job maps at most :data:`CHUNKS` fixed, contiguous chunks of
-sweeps over the broadcast CSR to partial dependency vectors; the driver
-adds them in chunk order, so scores are bit-identical whatever the
-cluster's shape.
+Placement: Brandes is embarrassingly parallel over sources. The sweeps
+form at most :data:`CHUNKS` fixed, contiguous chunks, each summed to a
+partial vector. Below :data:`DRIVER_EDGE_VISITS` (sweeps × class-graph
+edges) the driver computes the partials itself, because a Spark job
+would cost more than the sweeps; above it one Spark job maps the chunks
+over the broadcast class graph. The driver adds the partials in chunk
+order either way, so scores are bit-identical wherever they ran and
+whatever the cluster's shape.
 """
 from __future__ import annotations
 
@@ -31,10 +38,17 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graph.csr import CSR, expand, twin_classes
+from repro.graph.csr import CSR, class_graph, expand, twin_classes
 
 #: Source chunks per BC call; each is one partial vector on the driver.
 CHUNKS = 16
+#: Sweeps × class-graph directed edges below which a BC call runs its
+#: chunks on the driver instead of in one Spark job. Measured on a
+#: 4-core box: a one-sweep BC Spark job takes 0.19–0.27 s, and this many
+#: visits take 0.03–0.13 s on the driver over the generated lakes' class
+#: graphs (slowest on the smallest, where each BFS level's fixed numpy
+#: cost dominates).
+DRIVER_EDGE_VISITS = 1_000_000
 
 
 def brandes_dependencies(
@@ -81,17 +95,12 @@ def brandes_dependencies(
 
 
 def dependency_sum(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: Iterable[int],
-    weights: np.ndarray | None = None,
+    indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int]
 ) -> np.ndarray:
-    """Summed :func:`brandes_dependencies` of ``sources``, in source order,
-    each scaled by its entry of ``weights`` when given."""
+    """Summed :func:`brandes_dependencies` of ``sources``, in source order."""
     acc = np.zeros(len(indptr) - 1, dtype=np.float64)
-    for i, s in enumerate(sources):
-        delta = brandes_dependencies(indptr, indices, int(s))
-        acc += delta if weights is None else weights[i] * delta
+    for s in sources:
+        acc += brandes_dependencies(indptr, indices, int(s))
     return acc
 
 
@@ -112,6 +121,75 @@ def sample_sources(csr: CSR, n_samples: int, *, seed: int = 0) -> np.ndarray:
     return rng.choice(csr.n, size=min(n_samples, csr.n), replace=False)
 
 
+def class_dependencies(
+    indptr: np.ndarray, indices: np.ndarray, size: np.ndarray, source: int
+) -> np.ndarray:
+    """Dependencies of one Brandes sweep on the class graph
+    (:func:`~repro.graph.csr.class_graph`), from one member ``r`` of
+    class ``source``, per class: the entry of class ``C`` is the
+    dependency ``delta_r(v)`` of each member ``v`` of ``C``.
+
+    ``size`` holds each class's node count. The members of a class are
+    all at one distance from ``r`` and adjacent to all members of their
+    neighbour classes, so a class counts the paths of each member:
+    ``sigma(D)`` sums ``|P| sigma(P)`` over predecessor classes ``P``
+    and ``delta(C)`` sums ``|S| sigma(C) / sigma(S) (1 + delta(S))`` over
+    successor classes ``S``. Only ``r`` itself is at distance 0, so every
+    ``sigma`` is ``|R|`` times ``r``'s path count; the factor cancels in
+    the ratios. The other ``|R| - 1`` twins of ``r`` are leaves at
+    distance 2 behind every neighbour of ``r``: each neighbour gains
+    ``(|R| - 1) / deg(r)``. Each level's sums go into zeros, so
+    ``np.bincount`` adds them in the order ``np.add.at`` would.
+    """
+    k = len(indptr) - 1
+    seen = np.zeros(k, dtype=bool)
+    sigma = np.zeros(k, dtype=np.float64)
+    seen[source] = True
+    sigma[source] = 1.0
+    frontier = np.array([source], dtype=np.int64)
+    dag = []
+    found = np.zeros(k, dtype=bool)
+    while frontier.size:
+        srcs, nbrs = expand(indptr, indices, frontier)
+        # Every edge to an unseen class is a DAG edge into the next level.
+        on_dag = ~seen[nbrs]
+        s_sel, n_sel = srcs[on_dag], nbrs[on_dag]
+        found[n_sel] = True
+        new = np.flatnonzero(found)
+        found[new] = False
+        seen[new] = True
+        paths = size[s_sel] * sigma[s_sel]
+        sigma += np.bincount(n_sel, weights=paths, minlength=k)
+        dag.append((s_sel, n_sel))
+        frontier = new
+
+    delta = np.zeros(k, dtype=np.float64)
+    for s_sel, n_sel in reversed(dag):
+        push = size[n_sel] * sigma[s_sel] / sigma[n_sel] * (1.0 + delta[n_sel])
+        delta += np.bincount(s_sel, weights=push, minlength=k)
+    nbrs = indices[indptr[source] : indptr[source + 1]]
+    deg = size[nbrs].sum()
+    if deg:  # the class of isolated nodes has no neighbour to credit
+        delta[nbrs] += (size[source] - 1.0) / deg
+    delta[source] = 0.0
+    return delta
+
+
+def class_dependency_sum(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    size: np.ndarray,
+    sources: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Summed :func:`class_dependencies` of the classes ``sources``, in
+    order, each scaled by its entry of ``weights``."""
+    acc = np.zeros(len(indptr) - 1, dtype=np.float64)
+    for c, w in zip(sources, weights):
+        acc += w * class_dependencies(indptr, indices, size, int(c))
+    return acc
+
+
 def betweenness_values(
     spark: SparkSession,
     csr: CSR,
@@ -126,32 +204,41 @@ def betweenness_values(
     are :func:`sample_sources`'s draw and the estimator scales by
     ``n / s``, so sampled and exact scores are on the same scale (and
     identical when ``s = n``). Sources that are twins
-    (:func:`~repro.graph.csr.twin_classes`) share one sweep, from the
-    first of them, weighted by their count.
+    (:func:`~repro.graph.csr.twin_classes`) share one sweep on the class
+    graph, weighted by their count, in order of their first source.
+    Below :data:`DRIVER_EDGE_VISITS` the chunks run on the driver,
+    otherwise in one Spark job; the same partials are added in the same
+    order either way.
     """
     if n_samples is None:
         sources = np.arange(csr.n, dtype=np.int64)
     else:
         sources = sample_sources(csr, n_samples, seed=seed)
     n, s = csr.n, len(sources)
-    _, first, counts = np.unique(
-        twin_classes(csr)[sources], return_index=True, return_counts=True
+    classes = twin_classes(csr)
+    graph = class_graph(csr, classes)
+    arrays = (graph.indptr, graph.indices, np.bincount(classes).astype(np.float64))
+    swept, first, counts = np.unique(
+        classes[sources], return_index=True, return_counts=True
     )
     order = np.argsort(first)
-    reps, weights = sources[first[order]], counts[order].astype(np.float64)
+    reps, weights = swept[order], counts[order].astype(np.float64)
     k = min(CHUNKS, max(1, len(reps)))
     chunks = list(zip(np.array_split(reps, k), np.array_split(weights, k)))
-    sc = spark.sparkContext
-    bcast = sc.broadcast((csr.indptr, csr.indices))
-    # More tasks than cores only adds scheduling cost; a task runs its
-    # chunks one by one, each still a partial of its own.
-    partials = (
-        sc.parallelize(chunks, min(len(chunks), sc.defaultParallelism))
-        .map(lambda chunk: dependency_sum(*bcast.value, *chunk))
-        .collect()
-    )
-    bcast.destroy()
-    bc = sum(partials, np.zeros(n))
+    if len(reps) * len(graph.indices) < DRIVER_EDGE_VISITS:
+        partials = [class_dependency_sum(*arrays, *chunk) for chunk in chunks]
+    else:
+        sc = spark.sparkContext
+        bcast = sc.broadcast(arrays)
+        # More tasks than cores only adds scheduling cost; a task runs its
+        # chunks one by one, each still a partial of its own.
+        partials = (
+            sc.parallelize(chunks, min(len(chunks), sc.defaultParallelism))
+            .map(lambda chunk: class_dependency_sum(*bcast.value, *chunk))
+            .collect()
+        )
+        bcast.destroy()
+    bc = sum(partials, np.zeros(graph.n))[classes]
     if s:
         bc *= n / s
     return _normalize(bc, n)

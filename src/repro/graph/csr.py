@@ -48,8 +48,10 @@ def expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    offs = np.arange(total, dtype=np.int64) - np.repeat(counts.cumsum() - counts, counts)
-    idx = np.repeat(starts, counts) + offs
+    # Entry j of the output reads row frontier[i] at starts[i] + j - (the
+    # output offset of row i).
+    shift = starts - (counts.cumsum() - counts)
+    idx = np.repeat(shift, counts) + np.arange(total, dtype=np.int64)
     return np.repeat(frontier, counts), indices[idx]
 
 
@@ -68,6 +70,27 @@ def twin_classes(csr: CSR) -> np.ndarray:
         first.setdefault(buf[a:b], u) for u, (a, b) in enumerate(zip(ptr, ptr[1:]))
     ]
     return np.unique(np.array(smallest, dtype=np.int64), return_inverse=True)[1]
+
+
+def class_graph(csr: CSR, classes: np.ndarray) -> CSR:
+    """The twin-class graph: one node per class of ``classes``
+    (:func:`twin_classes`), an edge where the members of two classes
+    are adjacent.
+
+    Twins are never adjacent to each other, and a node adjacent to one
+    member of a class is adjacent to all of them. So the class edges
+    are the edges between class representatives (each class's smallest
+    node), read off the representatives' rows. Class ids follow the
+    representatives' node ids, so each row stays sorted.
+    """
+    reps = np.unique(classes, return_index=True)[1]
+    is_rep = np.zeros(csr.n, dtype=bool)
+    is_rep[reps] = True
+    srcs, nbrs = expand(csr.indptr, csr.indices, reps)
+    keep = is_rep[nbrs]
+    indptr = np.zeros(len(reps) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(classes[srcs[keep]], minlength=len(reps)), out=indptr[1:])
+    return CSR(indptr=indptr, indices=classes[nbrs[keep]])
 
 
 def csr_from_arrays(src: np.ndarray, dst: np.ndarray, n: int) -> CSR:

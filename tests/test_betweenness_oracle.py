@@ -1,20 +1,29 @@
 """networkx as the BC oracle: one source's Brandes dependencies on the
 Example 3.1 graph equal networkx's single-source subset BC, and exact
-Brandes, single-process and fanned out over Spark, equals
+Brandes, single-process and through :func:`betweenness_values`, equals
 ``nx.betweenness_centrality`` on random bipartite graphs, repeated pairs
-included. On graphs forced to contain twins, the twin-weighted Spark BC
-also equals the unweighted kernel."""
+included, and on a generated SB lake. On graphs forced to contain twins
+and isolated nodes, the class-graph BC equals the unweighted kernel and
+the twin-weighted sum of full-graph sweeps, and sampled BC averages to
+exact BC over every source set."""
+from itertools import combinations
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import betweenness
 from repro.core.betweenness import (
     betweenness_exact,
     betweenness_spark,
     betweenness_values,
     brandes_dependencies,
 )
+from repro.core.graph import build_graph
+from repro.graph.csr import CSR, csr_from_arrays, twin_classes
+from repro.lakes.sb import sb_lake
 from tests.fixtures import bipartite_graphs, twin_bipartite_graphs
 
 
@@ -68,3 +77,69 @@ def test_twin_weighted_matches_unweighted(spark, graph):
     got = betweenness_values(spark, csr)
     assert np.allclose(got, betweenness_exact(csr, normalized=True), rtol=1e-12, atol=0)
     assert np.allclose(got, _nx_bc(graph), rtol=0, atol=1e-9)
+
+
+def test_generated_lake_matches_networkx(spark):
+    """End to end on a generated lake: SB at scale 0.1 has 1,170 nodes
+    in 147 twin classes."""
+    graph = build_graph(sb_lake(spark, scale=0.1, seed=0).cells)
+    assert (graph.n_nodes, twin_classes(graph.csr).max() + 1) == (1170, 147)
+    got = betweenness_values(spark, graph.csr)
+    assert np.allclose(got, _nx_bc(graph), rtol=1e-12, atol=0)
+
+
+def _with_isolated(graph, extra: int) -> CSR:
+    """``graph``'s CSR with ``extra`` isolated nodes appended."""
+    csr = graph.csr
+    return CSR(np.r_[csr.indptr, np.full(extra, csr.indptr[-1])], csr.indices)
+
+
+def _twin_weighted_sum(csr: CSR, sources: np.ndarray) -> np.ndarray:
+    """Normalized BC as full-graph sweeps, one per twin class of
+    ``sources`` from its first source, weighted by its source count."""
+    cls = twin_classes(csr)
+    _, first, counts = np.unique(cls[sources], return_index=True, return_counts=True)
+    acc = np.zeros(csr.n)
+    for i in np.argsort(first):
+        acc += counts[i] * brandes_dependencies(
+            csr.indptr, csr.indices, int(sources[first[i]])
+        )
+    acc *= csr.n / len(sources)
+    return acc / float((csr.n - 1) * (csr.n - 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(twin_bipartite_graphs(), st.integers(1, 3), st.data())
+def test_class_graph_matches_full_graph(spark, graph, extra, data):
+    """Sweeps on the class graph equal twin-weighted sweeps on the full
+    graph, exact and sampled, with isolated nodes; twins tie exactly.
+    The class of isolated nodes divides by no zero degree."""
+    csr = _with_isolated(graph, extra)
+    n_samples = data.draw(st.one_of(st.none(), st.integers(1, csr.n)))
+    with np.errstate(divide="raise", invalid="raise"):
+        got = betweenness_values(spark, csr, n_samples=n_samples, seed=3)
+    sources = (
+        np.arange(csr.n) if n_samples is None
+        else betweenness.sample_sources(csr, n_samples, seed=3)
+    )
+    assert np.allclose(got, _twin_weighted_sum(csr, sources), rtol=1e-12, atol=0)
+    cls = twin_classes(csr)
+    assert np.array_equal(got, got[np.unique(cls, return_index=True)[1]][cls])
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5])
+def test_sampled_bc_unbiased(spark, monkeypatch, s):
+    """The mean of the sampled estimator over all C(n, s) source sets is
+    exact BC, on a twin-rich graph with an isolated node."""
+    v = np.array([0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 5, 6])
+    a = np.array([7, 8, 7, 8, 7, 8, 8, 9, 10, 9, 10, 10])
+    csr = csr_from_arrays(v, a, 12)  # node 11 is isolated
+    assert twin_classes(csr).max() + 1 == 9
+    sets = list(combinations(range(csr.n), s))
+    monkeypatch.setattr(
+        betweenness, "sample_sources", lambda csr, n, *, seed: np.array(sets[seed])
+    )
+    mean = sum(
+        betweenness_values(spark, csr, n_samples=s, seed=i) for i in range(len(sets))
+    ) / len(sets)
+    assert np.allclose(mean, betweenness_exact(csr), rtol=1e-12, atol=0)

@@ -1,18 +1,23 @@
-"""Distributed-BC tests: the Spark job must agree exactly with the
-single-process kernel, and the sampled estimator must behave."""
+"""Distributed-BC tests: BC must agree with the single-process kernel,
+and the sampled estimator must behave. Every test runs BC's sweeps both
+in a Spark job and on the driver, and the two must be bit-identical."""
+import math
+
 import numpy as np
 import pytest
 
+from repro.core import betweenness
 from repro.core.betweenness import (
     CHUNKS,
     betweenness_exact,
     betweenness_spark,
     betweenness_values,
-    dependency_sum,
+    brandes_dependencies,
+    class_dependency_sum,
     sample_sources,
 )
 from repro.core.graph import build_graph
-from repro.graph.csr import csr_from_arrays, csr_from_edges, twin_classes
+from repro.graph.csr import class_graph, csr_from_arrays, twin_classes
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES, spark_jobs
 
@@ -32,27 +37,40 @@ def _collect(df, n):
     return out
 
 
-def test_spark_exact_matches_kernel(spark):
+def _both(monkeypatch, fn):
+    """``fn()`` with BC's sweeps in a Spark job, then on the driver; the
+    two results must be bit-identical."""
+    monkeypatch.setattr(betweenness, "DRIVER_EDGE_VISITS", 0)
+    on_spark = fn()
+    monkeypatch.setattr(betweenness, "DRIVER_EDGE_VISITS", math.inf)
+    on_driver = fn()
+    assert np.array_equal(on_spark, on_driver)
+    return on_driver
+
+
+def test_spark_exact_matches_kernel(spark, monkeypatch):
     csr = _random_csr()
-    got = _collect(betweenness_spark(spark, csr), csr.n)
+    got = _both(monkeypatch, lambda: _collect(betweenness_spark(spark, csr), csr.n))
     ref = betweenness_exact(csr, normalized=True)
     assert np.allclose(got, ref, atol=1e-12)
 
 
-def test_all_sources_sampled_equals_exact(spark):
+def test_all_sources_sampled_equals_exact(spark, monkeypatch):
     csr = _random_csr(seed=5)
-    got = _collect(betweenness_spark(spark, csr, n_samples=csr.n, seed=0), csr.n)
+    got = _both(monkeypatch, lambda: _collect(
+        betweenness_spark(spark, csr, n_samples=csr.n, seed=0), csr.n
+    ))
     ref = betweenness_exact(csr, normalized=True)
     assert np.allclose(got, ref, atol=1e-12)
 
 
-def test_explicit_sources_subset(spark):
+def test_explicit_sources_subset(spark, monkeypatch):
     csr = _random_csr(seed=6)
     # half the sources: estimator = (n/s)·partial sums, normalized.
     sources = sample_sources(csr, csr.n // 2, seed=6)
-    got = _collect(betweenness_spark(spark, csr, n_samples=len(sources), seed=6), csr.n)
-    from repro.core.betweenness import brandes_dependencies
-
+    got = _both(monkeypatch, lambda: _collect(
+        betweenness_spark(spark, csr, n_samples=len(sources), seed=6), csr.n
+    ))
     partial = np.zeros(csr.n)
     for s in sources:
         partial += brandes_dependencies(csr.indptr, csr.indices, s)
@@ -60,10 +78,12 @@ def test_explicit_sources_subset(spark):
     assert np.allclose(got, partial * scale, atol=1e-9)
 
 
-def test_sampled_ranking_correlates_with_exact(spark):
+def test_sampled_ranking_correlates_with_exact(spark, monkeypatch):
     csr = _random_csr(n=120, m=400, seed=7)
     exact = betweenness_exact(csr, normalized=True)
-    approx = _collect(betweenness_spark(spark, csr, n_samples=60, seed=1), csr.n)
+    approx = _both(monkeypatch, lambda: _collect(
+        betweenness_spark(spark, csr, n_samples=60, seed=1), csr.n
+    ))
     # Spearman rank correlation, computed by hand to avoid scipy import
     # issues: correlation of rank vectors.
     def ranks(x):
@@ -76,13 +96,12 @@ def test_sampled_ranking_correlates_with_exact(spark):
     assert rho > 0.7
 
 
-def test_figure1_subgraph_bc_ordering(spark):
+def test_figure1_subgraph_bc_ordering(spark, monkeypatch):
     """Paper Example 3.6: BC(Jaguar) ≫ BC(Puma) > BC(Toyota)=BC(Panda)."""
     g = build_graph(
         lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False
     )
-    csr = csr_from_edges(g.edges, g.n_nodes)
-    bc = betweenness_exact(csr, normalized=True)
+    bc = _both(monkeypatch, lambda: betweenness_values(spark, g.csr))
     labels = {label: i for i, label in enumerate(g.value_labels)}
     jag, puma = bc[labels["JAGUAR"]], bc[labels["PUMA"]]
     toyota, panda = bc[labels["TOYOTA"]], bc[labels["PANDA"]]
@@ -105,44 +124,73 @@ def _twin_csr(n_values=60, n_attrs=8, seed=11):
 
 
 @pytest.mark.parametrize("n_samples", [None, 25])
-def test_chunked_sum_bit_identical(spark, n_samples):
-    """The Spark job adds the same chunk partials in the same order as a
-    single process, so BC does not depend on the cluster's task count.
-    Each chunk holds twin-class representatives, in first-occurrence
-    source order, weighted by how many sources their class has."""
+def test_chunked_sum_bit_identical(spark, monkeypatch, n_samples):
+    """BC adds the same class-kernel chunk partials in the same order as
+    a single process, so it depends neither on the cluster's task count
+    nor on where the chunks run. Each chunk holds twin classes, in
+    first-occurrence source order, weighted by how many sources each
+    class has; the class scores expand to nodes at the end."""
     csr = _twin_csr()
     if n_samples is None:
         sources = np.arange(csr.n)
     else:
         sources = sample_sources(csr, n_samples, seed=2)
-    got = betweenness_values(spark, csr, n_samples=n_samples, seed=2)
+    got = _both(
+        monkeypatch, lambda: betweenness_values(spark, csr, n_samples=n_samples, seed=2)
+    )
     cls = twin_classes(csr)
+    graph = class_graph(csr, cls)
+    size = np.bincount(cls).astype(np.float64)
     slot, reps, weights = {}, [], []
     for s in sources:
         if cls[s] not in slot:
             slot[cls[s]] = len(reps)
-            reps.append(s)
+            reps.append(cls[s])
             weights.append(0.0)
         weights[slot[cls[s]]] += 1.0
     assert len(reps) < len(sources)
     reps, weights = np.array(reps), np.array(weights)
-    ref = np.zeros(csr.n)
+    ref = np.zeros(graph.n)
     for part in np.array_split(np.arange(len(reps)), min(CHUNKS, len(reps))):
-        ref += dependency_sum(csr.indptr, csr.indices, reps[part], weights[part])
-    ref *= csr.n / len(sources)
+        ref += class_dependency_sum(
+            graph.indptr, graph.indices, size, reps[part], weights[part]
+        )
+    ref = ref[cls] * (csr.n / len(sources))
     assert np.array_equal(got, ref / float((csr.n - 1) * (csr.n - 2)))
 
 
-def test_one_spark_job(spark):
-    """A BC call is one Spark job: no shuffle stage, no second collect."""
+def _visits(csr, n_samples, seed):
+    """Sweeps × class-graph directed edges of one BC call."""
+    cls = twin_classes(csr)
+    sweeps = len(np.unique(cls[sample_sources(csr, n_samples, seed=seed)]))
+    return sweeps * len(class_graph(csr, cls).indices)
+
+
+def test_one_spark_job(spark, monkeypatch):
+    """A BC call at the driver limit is one Spark job: no shuffle stage,
+    no second collect."""
+    csr = _random_csr(seed=10)
+    monkeypatch.setattr(betweenness, "DRIVER_EDGE_VISITS", _visits(csr, 20, 0))
     jobs = spark_jobs(
         spark, "test_one_spark_job",
-        lambda: betweenness_values(spark, _random_csr(seed=10), n_samples=20),
+        lambda: betweenness_values(spark, csr, n_samples=20),
     )
     assert jobs == 1
 
 
-def test_empty_sources_yields_empty(spark):
+def test_no_spark_job_below_driver_limit(spark, monkeypatch):
+    """A BC call just below the driver limit runs no Spark job."""
+    csr = _random_csr(seed=10)
+    monkeypatch.setattr(betweenness, "DRIVER_EDGE_VISITS", _visits(csr, 20, 0) + 1)
+    jobs = spark_jobs(
+        spark, "test_no_spark_job_below_driver_limit",
+        lambda: betweenness_values(spark, csr, n_samples=20),
+    )
+    assert jobs == 0
+
+
+def test_empty_sources_yields_empty(spark, monkeypatch):
     csr = _random_csr(seed=9)
-    out = betweenness_spark(spark, csr, n_samples=0)
-    assert out.count() == 0
+    bc = _both(monkeypatch, lambda: betweenness_values(spark, csr, n_samples=0))
+    assert not bc.any()
+    assert betweenness_spark(spark, csr, n_samples=0).count() == 0

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.core.graph import build_graph
-from repro.graph.csr import csr_from_arrays
 from repro.lakes.datalake import lake_stats
 from repro.lakes.nyc import attribute_induced_subgraph, nyc_lake
 

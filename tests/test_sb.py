@@ -80,7 +80,6 @@ def test_deterministic_in_seed(spark):
 
 
 def test_different_seeds_differ(spark):
-    a = sb_lake(spark, scale=0.1, seed=5).cells.count()
     df_a = sb_lake(spark, scale=0.1, seed=5).cells.toPandas()
     df_b = sb_lake(spark, scale=0.1, seed=6).cells.toPandas()
     assert not df_a.equals(df_b)

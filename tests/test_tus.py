@@ -1,5 +1,4 @@
 """Tests for the TUS-lite generator (repro.lakes.tus, paper §4.2)."""
-import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
