@@ -1,6 +1,7 @@
 """Distributed-BC tests: BC must agree with the single-process kernel,
-and the sampled estimator must behave. Every test runs BC's sweeps both
-in a Spark job and on the driver, and the two must be bit-identical."""
+and the sampled estimator must behave. Each test runs BC's sweeps in a
+Spark job and on the driver, which must give bit-identical scores; a
+call at the driver limit runs one Spark job, and one below it none."""
 import math
 
 import numpy as np
