@@ -63,7 +63,10 @@ def test_exact_matches_networkx(graph):
 @settings(max_examples=15, deadline=None)
 @given(bipartite_graphs())
 def test_spark_matches_networkx(spark, graph):
-    pdf = betweenness_spark(spark, graph.csr).toPandas()
+    """Small graphs sweep on the driver; this one forces the Spark job."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betweenness, "DRIVER_EDGE_VISITS", 0)
+        pdf = betweenness_spark(spark, graph.csr).toPandas()
     got = np.zeros(graph.n_nodes)
     got[pdf["node_id"].to_numpy()] = pdf["bc"].to_numpy()
     assert np.allclose(got, _nx_bc(graph), rtol=0, atol=1e-9)
