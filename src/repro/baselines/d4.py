@@ -25,9 +25,10 @@ mechanisms the paper's comparison exercises (DESIGN.md substitution 6):
 Homograph detection à la the paper: a value assigned to ≥2 strong
 domains is reported as a homograph.
 
-Spark produces the lake's distinct incidences and the driver collects
-them once; everything above runs in pandas and Python over them, sorted
-by ``(attr, value)`` so that the domains do not depend on lake row order.
+:func:`discover_domains` takes the lake's collected incidences
+(:func:`repro.core.graph.incidences`) and runs no Spark: everything
+above is pandas and Python over them, sorted by ``(attr, value)`` so
+that the domains do not depend on lake row order.
 """
 from __future__ import annotations
 
@@ -37,9 +38,7 @@ from itertools import combinations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
-from repro.core.graph import incidences
 from repro.core.normalize import ATTR_COL, VALUE_COL
 from repro.graph.unionfind import UnionFind
 
@@ -87,15 +86,12 @@ class D4Result:
         return int(per_col.max()), float(per_col.mean())
 
 
-def discover_domains(cells: DataFrame) -> D4Result:
-    """Run D4-lite over a lake. Spark computes the incidences; the
-    numeric-column filter and component formation run on the driver (the
+def discover_domains(inc: pd.DataFrame) -> D4Result:
+    """Run D4-lite over a lake's collected incidences, on the driver (the
     original D4 is a single-node Java program)."""
     # Sorted so grouping, tie-breaks and the robustness sample below do
     # not follow lake row order.
-    inc = incidences(cells).toPandas().sort_values(
-        [ATTR_COL, VALUE_COL], ignore_index=True
-    )
+    inc = inc.sort_values([ATTR_COL, VALUE_COL], ignore_index=True)
     numeric = inc[VALUE_COL].str.contains(_NUMERIC_RE)
     numeric_frac = numeric.groupby(inc[ATTR_COL]).mean()
     string_attrs = sorted(numeric_frac.index[numeric_frac < NUMERIC_CUTOFF])

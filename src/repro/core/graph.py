@@ -4,10 +4,12 @@ Nodes are data values and attributes; an edge ``(v, a)`` exists iff
 normalized value ``v`` occurs in attribute ``a``. Each distinct value is
 one node no matter how many attributes it occurs in.
 
-``build_graph`` is the system's one collect boundary: Spark normalizes
-the cells and keeps the distinct incidences in one shuffle
-(:func:`incidences`); one Arrow collect brings them to the driver, which
-prunes and holds the graph as numpy arrays from then on:
+:func:`incidences` is the system's one collect boundary: Spark
+normalizes the cells and keeps the distinct incidences in one shuffle,
+and one Arrow collect brings them to the driver as a pandas frame. The
+graph (:func:`graph_from_incidences`), the Definition-2 truth and D4
+all take that frame, so a caller that needs several of them collects a
+lake once. The driver prunes and holds the graph as numpy arrays:
 
 - ``labels``: node id → label. Value nodes take ids ``[0, n_values)``,
   attribute nodes the rest, each in label (code point) order — Spark's
@@ -72,24 +74,26 @@ class BipartiteGraph:
         )
 
 
-def incidences(cells: DataFrame) -> DataFrame:
-    """Distinct normalized ``(attr, value)`` incidences of a lake — the one
-    Spark aggregation of a lake. Graph construction, Definition-2 truth,
-    TUS-I injection and D4 each collect it once and finish on the driver."""
-    return normalize_cells(cells).select(ATTR_COL, VALUE_COL).distinct()
+def incidences(cells: DataFrame) -> pd.DataFrame:
+    """Distinct normalized ``(attr, value)`` incidences of a lake, collected
+    — the one Spark aggregation of a lake and the only collect of it.
+    Graph construction, Definition-2 truth, TUS-I injection and D4 each
+    take this frame and finish on the driver; none of them modifies it."""
+    return normalize_cells(cells).select(ATTR_COL, VALUE_COL).distinct().toPandas()
 
 
-def build_graph(cells: DataFrame, *, prune_unique: bool = True) -> BipartiteGraph:
-    """Construct the DomainNet bipartite graph from a cells relation.
+def graph_from_incidences(
+    inc: pd.DataFrame, *, prune_unique: bool = True
+) -> BipartiteGraph:
+    """The DomainNet bipartite graph of collected :func:`incidences`.
 
     ``prune_unique`` drops value nodes whose degree is 1 (they cannot be
     homographs — paper §5). Attribute nodes are kept even if all their
     values were pruned, so attribute ids do not depend on the prune
     setting.
     """
-    pdf = incidences(cells).toPandas()
-    attrs, attr_idx = np.unique(pdf[ATTR_COL].to_numpy(object), return_inverse=True)
-    values = pdf[VALUE_COL].to_numpy(object)
+    attrs, attr_idx = np.unique(inc[ATTR_COL].to_numpy(object), return_inverse=True)
+    values = inc[VALUE_COL].to_numpy(object)
     if prune_unique:
         _, value_idx = np.unique(values, return_inverse=True)
         kept = np.bincount(value_idx)[value_idx] >= 2
@@ -98,3 +102,9 @@ def build_graph(cells: DataFrame, *, prune_unique: bool = True) -> BipartiteGrap
     n_values = len(values)
     csr = csr_from_arrays(value_idx, n_values + attr_idx, n_values + len(attrs))
     return BipartiteGraph(np.concatenate([values, attrs]), n_values, csr)
+
+
+def build_graph(cells: DataFrame, *, prune_unique: bool = True) -> BipartiteGraph:
+    """The DomainNet bipartite graph of a cells relation:
+    :func:`graph_from_incidences` of its :func:`incidences`."""
+    return graph_from_incidences(incidences(cells), prune_unique=prune_unique)

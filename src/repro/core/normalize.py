@@ -21,6 +21,12 @@ def norm_value(col: Column) -> Column:
     return F.upper(F.regexp_replace(col.cast("string"), r"(?U)^\s+|\s+$", ""))
 
 
+def has_value(value: Column) -> Column:
+    """Whether a normalized value carries meaning: NULL, and empty after
+    trimming, are no value."""
+    return value.isNotNull() & (value != "")
+
+
 def attr_id(table_col: Column, col_col: Column) -> Column:
     """Global attribute identifier: ``<table_id>.<col_id>``.
 
@@ -42,4 +48,4 @@ def normalize_cells(cells: DataFrame) -> DataFrame:
         attr_id(F.col("table_id"), F.col("col_id")).alias(ATTR_COL),
         norm_value(F.col("value")).alias(VALUE_COL),
     )
-    return out.where(F.col(VALUE_COL).isNotNull() & (F.col(VALUE_COL) != ""))
+    return out.where(has_value(F.col(VALUE_COL)))

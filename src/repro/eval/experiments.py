@@ -27,7 +27,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.d4 import discover_domains
 from repro.core.betweenness import dependency_sum, sample_sources
-from repro.core.graph import build_graph
+from repro.core.graph import build_graph, graph_from_incidences, incidences
 from repro.core.pipeline import rank_graph
 from repro.eval.metrics import best_f1, hits_in_topk, metrics_at_k, topk_curve
 from repro.lakes.datalake import lake_stats
@@ -90,12 +90,13 @@ def sb_top55(spark: SparkSession, *, scale: float = 1.0) -> dict:
     k = len(homs)
     out: dict = {"k": k}
 
-    graph = build_graph(sb.cells)
+    inc = incidences(sb.cells)
+    graph = graph_from_incidences(inc)
     for measure in ("bc", "lcc"):
         ranked = rank_graph(spark, graph, measure=measure)
         out[measure] = metrics_at_k(_curve(ranked, homs, measure), k)
 
-    res = discover_domains(sb.cells)
+    res = discover_domains(inc)
     detected = set(res.homographs())
     tp = len(detected & homs)
     out["d4"] = {
@@ -191,15 +192,20 @@ def table3_meanings(
 
 
 # --------------------------------------------- §5.3: TUS top-k (Fig. 7)
+def _tus_graph(spark, sf):
+    """TUS-lite's graph and its Definition-2 homographs, from one
+    incidences collect."""
+    lake = tus_lake(spark, sf=sf, seed=SEED)
+    inc = incidences(lake.cells)
+    truth = definition2_truth(inc, lake.columns)
+    return graph_from_incidences(inc), set(truth.label[truth.is_homograph])
+
+
 def tus_topk(spark: SparkSession, *, sf: float = 1.0, n_samples: int = 3000) -> dict:
     """Top-k precision/recall/F1 on TUS-lite with its natural homographs,
     at each fixed k below their count."""
-    lake = tus_lake(spark, sf=sf, seed=SEED)
-    truth = definition2_truth(lake.cells, lake.column_domains(spark))
-    homs = set(truth.label[truth.is_homograph])
-    ranked = rank_graph(
-        spark, build_graph(lake.cells), measure="bc", n_samples=n_samples, seed=SEED
-    )
+    graph, homs = _tus_graph(spark, sf)
+    ranked = rank_graph(spark, graph, measure="bc", n_samples=n_samples, seed=SEED)
     curve = _curve(ranked, homs, "bc")
     n_hom = len(homs)
     out = {
@@ -233,11 +239,8 @@ def scalability_samples(
     """Precision@#homographs and wall-clock vs BC sample count (Fig. 8);
     a sample size of ``None`` is exact BC, over every node."""
     print("== Fig 8 analogue: precision/time vs sample size (TUS-lite) ==")
-    lake = tus_lake(spark, sf=sf, seed=SEED)
-    truth = definition2_truth(lake.cells, lake.column_domains(spark))
-    homs = set(truth.label[truth.is_homograph])
+    graph, homs = _tus_graph(spark, sf)
     n_hom = len(homs)
-    graph = build_graph(lake.cells)
     rows = []
     for s in sample_sizes:
         s = None if s is None else min(s, graph.n_nodes)
@@ -304,14 +307,14 @@ def d4_impact(
         for n_inj in injections:
             if n_inj == 0:
                 if base is None:
-                    base = discover_domains(clean)
+                    base = discover_domains(incidences(clean))
                 res = base
             else:
                 cells = inject_homographs(
                     spark, clean, cd, n=n_inj, meanings=m,
                     min_cardinality=0, seed=n_inj + m,
                 ).cells
-                res = discover_domains(cells)
+                res = discover_domains(incidences(cells))
             mx, avg = res.domains_per_column()
             rows.append((m, n_inj, res.n_domains, mx, avg))
             print(

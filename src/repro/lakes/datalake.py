@@ -13,7 +13,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.normalize import VALUE_COL, normalize_cells
+from repro.core.normalize import has_value, norm_value
 
 #: Canonical cells schema used by every lake generator.
 CELLS_SCHEMA = "table_id string, col_id string, value string"
@@ -51,14 +51,12 @@ def lake_from_memberships(spark: SparkSession, memberships: pd.DataFrame) -> Dat
 
 def lake_stats(cells: DataFrame) -> dict:
     """Table-1-style statistics of a lake: #tables, #attributes, and
-    #distinct normalized values."""
-    norm = normalize_cells(cells)
-    row = (
-        cells.select(
-            F.countDistinct("table_id").alias("n_tables"),
-            F.countDistinct("table_id", "col_id").alias("n_attrs"),
-        )
-        .crossJoin(norm.select(F.countDistinct(VALUE_COL).alias("n_values")))
-        .collect()[0]
-    )
+    #distinct normalized values, in one aggregation over the raw cells.
+    A column counts as an attribute even if it holds no value."""
+    value = norm_value(F.col("value"))
+    row = cells.select(
+        F.countDistinct("table_id").alias("n_tables"),
+        F.countDistinct("table_id", "col_id").alias("n_attrs"),
+        F.countDistinct(F.when(has_value(value), value)).alias("n_values"),
+    ).collect()[0]
     return {"n_tables": row.n_tables, "n_attrs": row.n_attrs, "n_values": row.n_values}

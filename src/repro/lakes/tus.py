@@ -22,8 +22,9 @@ generates the same structure synthetically:
 Ground truth follows Definition 2: a value is a homograph iff it occurs
 in at least two columns that are **not** unionable (different source
 domains) — computed from the *realized* lake, not the planting plan:
-Spark produces the lake's distinct incidences, and the driver labels
-them in pandas against the column → domain table it already holds.
+:func:`definition2_truth` labels the lake's collected incidences
+(:func:`repro.core.graph.incidences`) in pandas against the column →
+domain table that the generator returns, without Spark.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.normalize import ATTR_COL, VALUE_COL
-from repro.core.graph import incidences
 from repro.lakes.datalake import lake_from_memberships
 
 NULL_MARKER = "."
@@ -195,14 +195,15 @@ def tus_lake(
     return TUSLake(cells=cells, columns=columns, planted=tokens)
 
 
-def definition2_truth(cells: DataFrame, column_domains: DataFrame) -> pd.DataFrame:
+def definition2_truth(inc: pd.DataFrame, columns: pd.DataFrame) -> pd.DataFrame:
     """Definition 2 labeling: ``(label, is_homograph)`` for every distinct
-    value, computed on the driver from the lake's collected incidences.
+    value of the collected incidences ``inc``, with each column's domain
+    read from ``columns`` (:attr:`TUSLake.columns`).
 
     A value is a homograph iff it appears in ≥2 columns belonging to
     different unionability classes (source domains).
     """
-    inc = incidences(cells).toPandas().merge(column_domains.toPandas(), on=ATTR_COL)
+    inc = inc.merge(columns[[ATTR_COL, "domain"]], on=ATTR_COL)
     n_domains = inc.groupby(VALUE_COL)["domain"].nunique()
     return pd.DataFrame(
         {"label": n_domains.index, "is_homograph": n_domains.to_numpy() >= 2}

@@ -10,12 +10,14 @@ occurrence of each picked value with a fresh token
 meanings and its BC behaviour can be studied as a function of the
 cardinality threshold (Table 2) and of ``m`` (Table 3).
 
-Both steps collect the lake's incidences once and decide on the driver,
-in pandas: the Definition-2 labels and the eligible ``(domain, value)``
-pairs. Spark only rewrites the cells, with a join against a broadcast
-of the driver's picks (the homographs to drop, the values to replace).
-The eligible pairs are sorted before the seeded draws, so a plan depends
-on the seed and the lake's content, not on its row order.
+Both steps collect the lake's incidences once
+(:func:`repro.core.graph.incidences`) and decide on the driver, in
+pandas: the Definition-2 labels against the generator's column → domain
+table, and the eligible ``(domain, value)`` pairs. Spark only rewrites
+the cells, with a join against a broadcast of the driver's picks (the
+homographs to drop, the values to replace). The eligible pairs are
+sorted before the seeded draws, so a plan depends on the seed and the
+lake's content, not on its row order.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ def remove_homographs(
     labeling that was applied. After this step the lake contains only
     single-meaning values (the paper's TUS-I starting point).
     """
-    truth = definition2_truth(lake.cells, lake.column_domains(spark))
+    truth = definition2_truth(incidences(lake.cells), lake.columns)
     homs = truth.loc[truth["is_homograph"], ["label"]]
     homs = spark.createDataFrame(
         homs.rename(columns={"label": VALUE_COL}), schema=f"{VALUE_COL} string"
@@ -84,7 +86,7 @@ def inject_homographs(
     token, lake-wide. Raises if the lake cannot supply enough distinct
     eligible (domain, value) picks.
     """
-    inc = incidences(cells).toPandas()
+    inc = incidences(cells)
     inc["cardinality"] = inc.groupby(ATTR_COL)[VALUE_COL].transform("size")
     inc = inc.merge(column_domains.toPandas(), on=ATTR_COL)
     value = inc[VALUE_COL].str

@@ -3,6 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines.d4 import D4Result, discover_domains
+from repro.core.graph import incidences
 from repro.lakes.datalake import lake_from_tables
 from repro.lakes.tus import tus_lake
 from tests.fixtures import shuffled
@@ -23,14 +24,14 @@ def _two_domain_lake(spark):
 
 
 def test_clean_lake_two_domains(spark):
-    res = discover_domains(_two_domain_lake(spark))
+    res = discover_domains(incidences(_two_domain_lake(spark)))
     assert res.n_domains == 2
     sizes = sorted(len(v) for v in res.domains.values())
     assert sizes == [20, 20]
 
 
 def test_clean_lake_no_homographs(spark):
-    res = discover_domains(_two_domain_lake(spark))
+    res = discover_domains(incidences(_two_domain_lake(spark)))
     assert res.homographs() == []
 
 
@@ -45,7 +46,7 @@ def test_shared_value_in_both_domains_detected(spark):
             "T3": {"a": animals, "x": cars},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert res.n_domains == 2
     assert res.homographs() == ["JAGUAR"]
 
@@ -58,7 +59,7 @@ def test_numeric_columns_excluded(spark):
             "T2": {"a": [f"v{i}" for i in range(10)], "n": [str(i) for i in range(10)]},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert set(res.string_attrs) == {"T1.a", "T2.a"}
     assert res.n_domains == 1
 
@@ -72,7 +73,7 @@ def test_min_support_coverage_gap(spark):
             "T2": {"a": [f"v{i}" for i in range(10)]},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert res.n_domains == 1
     covered = set(res.column_domains.attr)
     assert "T1.solo" not in covered
@@ -87,7 +88,7 @@ def test_low_overlap_columns_not_merged(spark):
             "T2": {"a": [f"v{i}" for i in range(8, 40)]},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert res.n_domains == 0
 
 
@@ -104,13 +105,13 @@ def test_injected_singleton_becomes_own_domain(spark):
             "T3": {"a": animals, "x": cars},
         },
     )
-    res = discover_domains(lake)
+    res = discover_domains(incidences(lake))
     assert res.n_domains == 3
     assert frozenset(["HOMO"]) in set(res.domains.values())
 
 
 def test_domains_per_column_stats(spark):
-    res = discover_domains(_two_domain_lake(spark))
+    res = discover_domains(incidences(_two_domain_lake(spark)))
     mx, avg = res.domains_per_column()
     assert mx == 1
     assert avg == pytest.approx(1.0)
@@ -120,7 +121,8 @@ def test_domains_independent_of_row_order(spark):
     # Planted multi-domain tokens give value classes of equal size, so the
     # tie-breaks between them must not follow the collect order.
     cells = tus_lake(spark, sf=0.08, seed=4).cells
-    a, b = discover_domains(cells), discover_domains(shuffled(spark, cells, 5))
+    a = discover_domains(incidences(cells))
+    b = discover_domains(incidences(shuffled(spark, cells, 5)))
     assert a.domains == b.domains
     pd.testing.assert_frame_equal(a.column_domains, b.column_domains)
 

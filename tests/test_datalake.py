@@ -31,18 +31,25 @@ def test_lake_stats_figure1(fig1):
 
 
 def test_lake_stats_oracle(spark, fig1):
-    pdf = fig1.toPandas()
-    got = spark.createDataFrame(pd.DataFrame([lake_stats(fig1)]))
-    assert_equivalent(
-        got,
-        """
-        SELECT (SELECT COUNT(DISTINCT table_id) FROM cells) AS n_tables,
-               (SELECT COUNT(*) FROM (SELECT DISTINCT table_id, col_id FROM cells)) AS n_attrs,
-               (SELECT COUNT(DISTINCT UPPER(TRIM(value))) FROM cells
-                WHERE value IS NOT NULL AND TRIM(value) <> '') AS n_values
-        """,
-        cells=pdf,
-    )
+    # NULL cells, cells of spaces only and a NULL-only column, which still
+    # counts as an attribute.
+    sparse = lake_from_tables(spark, {
+        "T1": {"a": ["x", None, "  ", " x "], "b": [None, None]},
+        "T2": {"a": ["   ", "y", "Y", ""], "c": [None]},
+    })
+    for lake in (fig1, sparse):
+        pdf = lake.toPandas()
+        got = spark.createDataFrame(pd.DataFrame([lake_stats(lake)]))
+        assert_equivalent(
+            got,
+            """
+            SELECT (SELECT COUNT(DISTINCT table_id) FROM cells) AS n_tables,
+                   (SELECT COUNT(*) FROM (SELECT DISTINCT table_id, col_id FROM cells)) AS n_attrs,
+                   (SELECT COUNT(DISTINCT UPPER(TRIM(value))) FROM cells
+                    WHERE value IS NOT NULL AND TRIM(value) <> '') AS n_values
+            """,
+            cells=pdf,
+        )
 
 
 def test_lake_from_memberships_roundtrip(spark):

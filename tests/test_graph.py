@@ -5,6 +5,7 @@ from pyspark.sql import functions as F
 
 from repro.core.graph import build_graph, incidences
 from repro.core.lcc import lcc_values
+from repro.core.normalize import normalize_cells
 from repro.core.ranking import rank_frame
 from repro.lakes.datalake import CELLS_SCHEMA, lake_from_tables
 from repro.lakes.sb import sb_lake
@@ -12,7 +13,7 @@ from repro.oracle import assert_equivalent
 
 
 def test_incidences_oracle(spark, fig1):
-    got = incidences(fig1)
+    got = spark.createDataFrame(incidences(fig1))
     assert_equivalent(
         got,
         """
@@ -55,7 +56,7 @@ def test_node_ids_follow_spark_label_order(spark):
     lake = lake_from_tables(spark, {"T": {"c": words, "d": words}})
     g = build_graph(lake)
     spark_order = (
-        incidences(lake).select(F.col("value").alias("label")).distinct()
+        normalize_cells(lake).select(F.col("value").alias("label")).distinct()
         .orderBy("label").toPandas()["label"].tolist()
     )
     assert list(g.value_labels) == spark_order

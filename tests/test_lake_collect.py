@@ -1,14 +1,18 @@
-"""Structure test: each lake-side step collects the incidences once.
+"""Structure tests: a lake's incidences are collected once and shared.
 
-Graph construction, TUS-I injection and D4 run no more Spark jobs than
-one ``incidences(cells).toPandas()`` of the same lake; injection may run
-one more, to collect the column → domain table.
+``incidences(cells)`` is the one collect of a lake. Graph construction
+and TUS-I injection run no more Spark jobs than that collect (injection
+one more, to collect the column → domain table it is given), and D4 on
+a lake needs nothing beyond it. The Definition-2 truth and D4 run no
+Spark job on a collected frame, and the driver-side steps leave the
+frame they share as they found it.
 """
+import pandas as pd
 import pytest
 
 from repro.baselines.d4 import discover_domains
-from repro.core.graph import build_graph, incidences
-from repro.lakes.tus import tus_lake
+from repro.core.graph import build_graph, graph_from_incidences, incidences
+from repro.lakes.tus import definition2_truth, tus_lake
 from repro.lakes.tus_inject import inject_homographs
 from tests.fixtures import spark_jobs
 
@@ -16,6 +20,11 @@ from tests.fixtures import spark_jobs
 @pytest.fixture(scope="module")
 def lake(spark):
     return tus_lake(spark, sf=0.03, seed=3, n_planted=0, null_marker=False)
+
+
+@pytest.fixture(scope="module")
+def inc(lake):
+    return incidences(lake.cells)
 
 
 @pytest.mark.parametrize(
@@ -29,9 +38,28 @@ def test_no_more_jobs_than_one_incidences_collect(spark, lake, step, extra):
         "inject_homographs": lambda: inject_homographs(
             spark, lake.cells, domains, n=3, seed=1
         ),
-        "discover_domains": lambda: discover_domains(lake.cells),
+        "discover_domains": lambda: discover_domains(incidences(lake.cells)),
     }[step]
-    collect = spark_jobs(
-        spark, f"{step}:collect", lambda: incidences(lake.cells).toPandas()
-    )
+    collect = spark_jobs(spark, f"{step}:collect", lambda: incidences(lake.cells))
     assert spark_jobs(spark, step, run) <= collect + extra
+
+
+@pytest.mark.parametrize("step", ["definition2_truth", "discover_domains"])
+def test_no_spark_job_on_collected_frame(spark, lake, inc, step):
+    run = {
+        "definition2_truth": lambda: definition2_truth(inc, lake.columns),
+        "discover_domains": lambda: discover_domains(inc),
+    }[step]
+    assert spark_jobs(spark, f"{step}:driver", run) == 0
+
+
+def test_shared_frame_unchanged(lake):
+    # A fresh collect: the module's shared frame may have passed through
+    # these steps already.
+    inc = incidences(lake.cells)
+    before = inc.copy()
+    graph_from_incidences(inc)
+    graph_from_incidences(inc, prune_unique=False)
+    definition2_truth(inc, lake.columns)
+    discover_domains(inc)
+    pd.testing.assert_frame_equal(inc, before)

@@ -37,7 +37,7 @@ def test_each_homograph_two_categories():
 
 def test_homographs_realized_in_both_categories(spark, sb):
     """Every planted homograph must occur in ≥1 column of each category."""
-    inc = incidences(sb.cells).toPandas()
+    inc = incidences(sb.cells)
     col_cat = {
         f"{t}.{c}": cat for t, c, cat in sb.columns.itertuples(index=False)
     }
@@ -48,7 +48,7 @@ def test_homographs_realized_in_both_categories(spark, sb):
 
 
 def test_non_homograph_values_single_category(spark, sb):
-    inc = incidences(sb.cells).toPandas()
+    inc = incidences(sb.cells)
     col_cat = {
         f"{t}.{c}": cat for t, c, cat in sb.columns.itertuples(index=False)
     }

@@ -18,13 +18,11 @@ def lake(spark):
 
 @pytest.fixture(scope="module")
 def truth(spark, lake):
-    return definition2_truth(lake.cells, lake.column_domains(spark))
+    return definition2_truth(incidences(lake.cells), lake.columns)
 
 
 def test_columns_metadata_covers_cells(spark, lake):
-    attrs_in_cells = {
-        r[ATTR_COL] for r in incidences(lake.cells).select(ATTR_COL).distinct().collect()
-    }
+    attrs_in_cells = set(incidences(lake.cells)[ATTR_COL])
     assert attrs_in_cells == set(lake.columns.attr)
 
 
@@ -33,7 +31,6 @@ def test_every_column_single_domain(lake):
 
 
 def test_definition2_truth_oracle(spark, lake, truth):
-    inc = incidences(lake.cells)
     assert_equivalent(
         spark.createDataFrame(truth),
         """
@@ -42,7 +39,7 @@ def test_definition2_truth_oracle(spark, lake, truth):
         FROM inc JOIN cols ON inc.attr = cols.attr
         GROUP BY value
         """,
-        inc=inc.toPandas(),
+        inc=incidences(lake.cells),
         cols=lake.columns[["attr", "domain"]],
     )
 
@@ -61,7 +58,7 @@ def test_numeric_collisions_exist(spark, lake, truth):
 
 
 def test_null_marker_is_many_meaning_homograph(spark, lake):
-    inc = incidences(lake.cells).toPandas()
+    inc = incidences(lake.cells)
     col_dom = dict(zip(lake.columns.attr, lake.columns.domain))
     doms = {col_dom[a] for a in inc.loc[inc[VALUE_COL] == NULL_MARKER, ATTR_COL]}
     assert len(doms) >= 2
@@ -75,7 +72,7 @@ def test_string_tokens_are_domain_prefixed(lake):
 
 
 def test_cardinality_skew(spark, lake):
-    cards = incidences(lake.cells).toPandas().groupby(ATTR_COL).size()
+    cards = incidences(lake.cells).groupby(ATTR_COL).size()
     assert cards.min() <= 10
     assert cards.max() >= 100
     assert cards.max() >= 5 * cards.median()
@@ -88,7 +85,7 @@ def test_no_planted_without_request(spark):
 
 def test_clean_lake_homographs_only_numeric(spark):
     clean = tus_lake(spark, sf=0.03, seed=3, n_planted=0, null_marker=False)
-    t = definition2_truth(clean.cells, clean.column_domains(spark))
+    t = definition2_truth(incidences(clean.cells), clean.columns)
     homs = t.label[t.is_homograph]
     assert homs.str.fullmatch(r"[0-9]+").all()
 
@@ -103,7 +100,7 @@ def test_deterministic_in_seed(spark):
 
 
 def test_meanings_distribution_heavy_tailed(spark, lake, truth):
-    inc = incidences(lake.cells).toPandas()
+    inc = incidences(lake.cells)
     col_dom = dict(zip(lake.columns.attr, lake.columns.domain))
     inc["domain"] = inc[ATTR_COL].map(col_dom)
     meanings = inc.groupby(VALUE_COL)["domain"].nunique()

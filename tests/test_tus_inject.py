@@ -1,7 +1,6 @@
 """Tests for homograph removal + injection (repro.lakes.tus_inject, §4.3)."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.graph import incidences
 from repro.core.normalize import ATTR_COL, VALUE_COL
@@ -28,17 +27,17 @@ def col_domains(spark, lake):
     return lake.column_domains(spark).cache()
 
 
-def test_removal_leaves_no_homographs(spark, lake, clean, col_domains):
-    residual = definition2_truth(clean, col_domains).is_homograph.sum()
+def test_removal_leaves_no_homographs(spark, lake, clean):
+    residual = definition2_truth(incidences(clean), lake.columns).is_homograph.sum()
     assert residual == 0
 
 
-def test_removal_only_drops_homographs(spark, lake, clean, col_domains):
-    before = incidences(lake.cells).toPandas()
+def test_removal_only_drops_homographs(spark, lake, clean):
+    before = incidences(lake.cells)
     after = incidences(clean)
-    truth = definition2_truth(lake.cells, col_domains)
+    truth = definition2_truth(before, lake.columns)
     n_hom_incidences = before[VALUE_COL].isin(truth.label[truth.is_homograph]).sum()
-    assert len(before) - after.count() == n_hom_incidences
+    assert len(before) - len(after) == n_hom_incidences
 
 
 def test_injected_tokens_have_exact_meanings(spark, clean, col_domains):
@@ -46,7 +45,7 @@ def test_injected_tokens_have_exact_meanings(spark, clean, col_domains):
         spark, clean, col_domains, n=5, meanings=3, min_cardinality=0, seed=1
     )
     assert len(inj.injected) == 5
-    inc = incidences(inj.cells).toPandas()
+    inc = incidences(inj.cells)
     cd = col_domains.toPandas()
     col_dom = dict(zip(cd[ATTR_COL], cd["domain"]))
     inc["domain"] = inc[ATTR_COL].map(col_dom)
@@ -59,11 +58,7 @@ def test_replaced_values_disappear(spark, clean, col_domains):
     inj = inject_homographs(
         spark, clean, col_domains, n=4, meanings=2, min_cardinality=0, seed=2
     )
-    remaining = (
-        incidences(inj.cells)
-        .where(F.col(VALUE_COL).isin(list(inj.plan.replaced_value)))
-        .count()
-    )
+    remaining = incidences(inj.cells)[VALUE_COL].isin(inj.plan.replaced_value).sum()
     assert remaining == 0
 
 
@@ -74,11 +69,11 @@ def test_injection_preserves_cell_count(spark, clean, col_domains):
     assert inj.cells.count() == clean.count()
 
 
-def test_injected_are_new_definition2_homographs(spark, clean, col_domains):
+def test_injected_are_new_definition2_homographs(spark, lake, clean, col_domains):
     inj = inject_homographs(
         spark, clean, col_domains, n=6, meanings=2, min_cardinality=0, seed=4
     )
-    truth = definition2_truth(inj.cells, col_domains)
+    truth = definition2_truth(incidences(inj.cells), lake.columns)
     homs = set(truth.label[truth.is_homograph])
     assert set(inj.injected) <= homs
 
@@ -88,7 +83,7 @@ def test_cardinality_threshold_respected(spark, clean, col_domains):
     inj = inject_homographs(
         spark, clean, col_domains, n=5, meanings=2, min_cardinality=thr, seed=5
     )
-    inc = incidences(clean).toPandas()
+    inc = incidences(clean)
     # every replaced value must occur in ≥1 column with cardinality ≥ thr
     col_card = inc.groupby(ATTR_COL).size()
     for v in inj.plan.replaced_value:
