@@ -76,9 +76,9 @@ class BipartiteGraph:
 
 def incidences(cells: DataFrame) -> pd.DataFrame:
     """Distinct normalized ``(attr, value)`` incidences of a lake, collected
-    — the one Spark aggregation of a lake and the only collect of it.
-    Graph construction, Definition-2 truth, TUS-I injection and D4 each
-    take this frame and finish on the driver; none of them modifies it."""
+    — the only collect of them. Graph construction, Definition-2 truth,
+    TUS-I injection and D4 finish on the driver from this frame; the
+    first two and D4 leave it unmodified, so one frame serves them all."""
     return normalize_cells(cells).select(ATTR_COL, VALUE_COL).distinct().toPandas()
 
 
