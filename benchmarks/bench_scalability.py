@@ -1,6 +1,5 @@
 """Benchmark: §5.4 / Figs 8–9 — sample-size sweep and runtime-vs-edges
 linearity on the NYC-scale lake."""
-import numpy as np
 
 
 def test_bench_fig8_sample_sweep(spark, benchmark):

@@ -5,8 +5,11 @@ dependency-accumulation pass per source node. The approximation is the
 source-sampling estimator used by the paper's Networkit setup: run
 Brandes from ``s`` sampled sources and scale the summed dependencies by
 ``n / s``, which is unbiased for uniform sampling.
-:func:`brandes_dependencies` is that sweep on the full graph, Fig. 9's
-O(s·m) kernel and the tests' reference.
+
+One kernel, :func:`class_dependencies`, runs every sweep. BC runs it on
+the twin-class graph below. :func:`brandes_dependencies` runs it on the
+full graph with every class size 1: Fig. 9's O(s·m) kernel and the
+tests' reference sums.
 
 Twins: nodes with identical neighbour sets
 (:func:`~repro.graph.csr.twin_classes`) have identical dependency
@@ -32,7 +35,7 @@ whatever the cluster's shape.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -54,65 +57,28 @@ DRIVER_EDGE_VISITS = 1_000_000
 def brandes_dependencies(
     indptr: np.ndarray, indices: np.ndarray, source: int
 ) -> np.ndarray:
-    """Dependency vector ``delta_source(v)`` of one Brandes iteration.
-
-    ``delta[source]`` is forced to 0 (the source accumulates predecessor
-    contributions during the sweep but does not count toward its own BC).
-    Level-synchronous and numpy-vectorized: the forward BFS gathers each
-    level's edges via CSR slices and keeps those on the shortest-path DAG;
-    the backward pass walks the stored DAG edges level by level in
-    reverse. ``sigma`` updates and dependency pushes use ``np.add.at`` so
-    duplicate targets within a level accumulate.
-    """
-    n = len(indptr) - 1
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    dist[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    dag = []
-    found = np.zeros(n, dtype=bool)
-    d = 0
-    while frontier.size:
-        srcs, nbrs = expand(indptr, indices, frontier)
-        # The level's new nodes, deduplicated and sorted by id.
-        found[nbrs[dist[nbrs] == -1]] = True
-        new = np.flatnonzero(found)
-        found[new] = False
-        dist[new] = d + 1
-        on_dag = dist[nbrs] == d + 1
-        s_sel, n_sel = srcs[on_dag], nbrs[on_dag]
-        np.add.at(sigma, n_sel, sigma[s_sel])
-        dag.append((s_sel, n_sel))
-        frontier = new
-        d += 1
-
-    delta = np.zeros(n, dtype=np.float64)
-    for s_sel, n_sel in reversed(dag):
-        np.add.at(delta, s_sel, sigma[s_sel] / sigma[n_sel] * (1.0 + delta[n_sel]))
-    delta[source] = 0.0
-    return delta
+    """Dependency vector ``delta_source(v)`` of one Brandes sweep on the
+    full graph: :func:`class_dependencies` with every class one node."""
+    return class_dependencies(indptr, indices, np.ones(len(indptr) - 1), source)
 
 
 def dependency_sum(
-    indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int]
+    indptr: np.ndarray, indices: np.ndarray, sources: Sequence[int]
 ) -> np.ndarray:
     """Summed :func:`brandes_dependencies` of ``sources``, in source order."""
-    acc = np.zeros(len(indptr) - 1, dtype=np.float64)
-    for s in sources:
-        acc += brandes_dependencies(indptr, indices, int(s))
-    return acc
+    n, s = len(indptr) - 1, len(sources)
+    return class_dependency_sum(indptr, indices, np.ones(n), sources, np.ones(s))
 
 
-def betweenness_exact(csr: CSR, *, normalized: bool = True) -> np.ndarray:
-    """Exact BC for every node (single-process reference kernel).
+def betweenness_exact(csr: CSR) -> np.ndarray:
+    """Exact normalized BC of every node, on the driver.
 
-    Raw scores sum dependencies over *ordered* source–target pairs (the
-    undirected-graph Brandes convention); ``normalized`` divides by
-    ``(n - 1)(n - 2)`` so scores are comparable across graph sizes.
+    Raw scores (:func:`dependency_sum` over every source) sum
+    dependencies over *ordered* source–target pairs (the undirected-graph
+    Brandes convention); they are divided by ``(n - 1)(n - 2)`` so scores
+    are comparable across graph sizes.
     """
-    bc = dependency_sum(csr.indptr, csr.indices, range(csr.n))
-    return _normalize(bc, csr.n) if normalized else bc
+    return _normalize(dependency_sum(csr.indptr, csr.indices, range(csr.n)), csr.n)
 
 
 def sample_sources(csr: CSR, n_samples: int, *, seed: int = 0) -> np.ndarray:
@@ -138,8 +104,15 @@ def class_dependencies(
     ``sigma`` is ``|R|`` times ``r``'s path count; the factor cancels in
     the ratios. The other ``|R| - 1`` twins of ``r`` are leaves at
     distance 2 behind every neighbour of ``r``: each neighbour gains
-    ``(|R| - 1) / deg(r)``. Each level's sums go into zeros, so
-    ``np.bincount`` adds them in the order ``np.add.at`` would.
+    ``(|R| - 1) / deg(r)``. With every size 1 this is Brandes' sweep
+    on the graph itself (:func:`brandes_dependencies`).
+
+    Level-synchronous and numpy-vectorized: the forward BFS gathers each
+    level's edges from CSR slices and stores those into unseen classes,
+    the shortest-path DAG; the backward pass walks the stored DAG edges
+    level by level in reverse. Each level's sums go into zeros, in input
+    order: a level's ``sigma`` and ``delta`` entries hold nothing before
+    that level's ``np.bincount`` fills them.
     """
     k = len(indptr) - 1
     seen = np.zeros(k, dtype=bool)

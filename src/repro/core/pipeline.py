@@ -7,7 +7,9 @@
 ``measure="bc"`` is betweenness centrality (exact when
 ``n_samples=None``, source-sampled otherwise); ``measure="lcc"`` is the
 bipartite local clustering coefficient. Steps 2 and 3 run on the driver
-over the graph's arrays, apart from BC's one Spark job over sources.
+over the graph's arrays. BC runs its sweeps in one Spark job only at or
+above :data:`~repro.core.betweenness.DRIVER_EDGE_VISITS` sweeps × class
+edges (exact BC on SB scale 1 runs none).
 """
 from __future__ import annotations
 

@@ -2,8 +2,10 @@
 
 The DomainNet graphs at reproduction scale (10^4–10^6 nodes) fit
 comfortably in driver memory as two int arrays. :mod:`repro.core.graph`
-builds the CSR once on the driver, indexed by its dense node ids; BC
-broadcasts it to executors and LCC reads it in place.
+builds the CSR once on the driver, indexed by its dense node ids. LCC
+reads it in place. BC sweeps its twin-class graph (:func:`class_graph`)
+and broadcasts that to executors, only at or above
+:data:`~repro.core.betweenness.DRIVER_EDGE_VISITS` sweeps × class edges.
 """
 from __future__ import annotations
 
@@ -45,9 +47,6 @@ def expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
     total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     # Entry j of the output reads row frontier[i] at starts[i] + j - (the
     # output offset of row i).
     shift = starts - (counts.cumsum() - counts)

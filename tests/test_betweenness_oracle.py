@@ -1,11 +1,13 @@
-"""networkx as the BC oracle: one source's Brandes dependencies on the
-Example 3.1 graph equal networkx's single-source subset BC, and exact
-Brandes, single-process and through :func:`betweenness_values`, equals
-``nx.betweenness_centrality`` on random bipartite graphs, repeated pairs
-included, and on a generated SB lake. On graphs forced to contain twins
-and isolated nodes, the class-graph BC equals the unweighted kernel and
-the twin-weighted sum of full-graph sweeps, and sampled BC averages to
-exact BC over every source set."""
+"""networkx as the BC oracle: each source's Brandes dependencies on the
+full graph equal networkx's single-source subset BC, on the Example 3.1
+graph and from every source of random bipartite graphs, twins included.
+Exact BC, as the unit-size sum on the driver and through
+:func:`betweenness_values`, equals ``nx.betweenness_centrality`` on
+random bipartite graphs, repeated pairs included, and on a generated SB
+lake. On graphs forced to contain twins and isolated nodes, the
+class-graph BC equals the unit-size sum and the twin-weighted sum of
+full-graph sweeps, and sampled BC averages to exact BC over every
+source set."""
 from itertools import combinations
 
 import networkx as nx
@@ -35,28 +37,41 @@ def _nx_graph(graph) -> nx.Graph:
 
 
 def _nx_bc(graph) -> np.ndarray:
-    bc = nx.betweenness_centrality(_nx_graph(graph), normalized=True)
+    bc = nx.betweenness_centrality(_nx_graph(graph))
     return np.array([bc[u] for u in range(graph.n_nodes)])
+
+
+def _assert_dependencies_match(graph, sources):
+    """``delta_s(v) = sum_t sigma_st(v) / sigma_st``; networkx halves
+    subset BC on undirected graphs, hence the factor 2."""
+    g = _nx_graph(graph)
+    for source in sources:
+        want = nx.betweenness_centrality_subset(
+            g, [source], list(g.nodes), normalized=False
+        )
+        got = brandes_dependencies(graph.csr.indptr, graph.csr.indices, source)
+        assert np.allclose(
+            got, [2 * want[u] for u in range(graph.n_nodes)], rtol=0, atol=1e-12
+        )
 
 
 @pytest.mark.parametrize("source", [0, 3, 7, 11])
 def test_dependencies_match_networkx(g31, source):
-    """``delta_s(v) = sum_t sigma_st(v) / sigma_st``; networkx halves
-    subset BC on undirected graphs, hence the factor 2."""
-    g = _nx_graph(g31)
-    want = nx.betweenness_centrality_subset(
-        g, [source], list(g.nodes), normalized=False
-    )
-    got = brandes_dependencies(g31.csr.indptr, g31.csr.indices, source)
-    assert np.allclose(
-        got, [2 * want[u] for u in range(g31.n_nodes)], rtol=0, atol=1e-12
-    )
+    _assert_dependencies_match(g31, [source])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(bipartite_graphs(), twin_bipartite_graphs()))
+def test_dependencies_match_networkx_every_source(graph):
+    """With unit sizes the twin term is zero: each twin of the source
+    is an ordinary node at distance 2."""
+    _assert_dependencies_match(graph, range(graph.n_nodes))
 
 
 @settings(max_examples=200, deadline=None)
 @given(bipartite_graphs())
 def test_exact_matches_networkx(graph):
-    got = betweenness_exact(graph.csr, normalized=True)
+    got = betweenness_exact(graph.csr)
     assert np.allclose(got, _nx_bc(graph), rtol=0, atol=1e-9)
 
 
@@ -78,7 +93,7 @@ def test_twin_weighted_matches_unweighted(spark, graph):
     """One sweep per twin class, weighted by class size, is exact BC."""
     csr = graph.csr
     got = betweenness_values(spark, csr)
-    assert np.allclose(got, betweenness_exact(csr, normalized=True), rtol=1e-12, atol=0)
+    assert np.allclose(got, betweenness_exact(csr), rtol=1e-12, atol=0)
     assert np.allclose(got, _nx_bc(graph), rtol=0, atol=1e-9)
 
 

@@ -1,7 +1,8 @@
-"""Distributed-BC tests: BC must agree with the single-process kernel,
-and the sampled estimator must behave. Each test runs BC's sweeps in a
-Spark job and on the driver, which must give bit-identical scores; a
-call at the driver limit runs one Spark job, and one below it none."""
+"""Distributed-BC tests: BC must agree with the unit-size sums on the
+full graph (:func:`~repro.core.betweenness.betweenness_exact`), and the
+sampled estimator must behave. Each test runs BC's sweeps in a Spark
+job and on the driver, which must give bit-identical scores; a call at
+the driver limit runs one Spark job, and one below it none."""
 import math
 
 import numpy as np
@@ -52,7 +53,7 @@ def _both(monkeypatch, fn):
 def test_spark_exact_matches_kernel(spark, monkeypatch):
     csr = _random_csr()
     got = _both(monkeypatch, lambda: _collect(betweenness_spark(spark, csr), csr.n))
-    ref = betweenness_exact(csr, normalized=True)
+    ref = betweenness_exact(csr)
     assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -61,7 +62,7 @@ def test_all_sources_sampled_equals_exact(spark, monkeypatch):
     got = _both(monkeypatch, lambda: _collect(
         betweenness_spark(spark, csr, n_samples=csr.n, seed=0), csr.n
     ))
-    ref = betweenness_exact(csr, normalized=True)
+    ref = betweenness_exact(csr)
     assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -81,7 +82,7 @@ def test_explicit_sources_subset(spark, monkeypatch):
 
 def test_sampled_ranking_correlates_with_exact(spark, monkeypatch):
     csr = _random_csr(n=120, m=400, seed=7)
-    exact = betweenness_exact(csr, normalized=True)
+    exact = betweenness_exact(csr)
     approx = _both(monkeypatch, lambda: _collect(
         betweenness_spark(spark, csr, n_samples=60, seed=1), csr.n
     ))

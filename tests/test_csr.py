@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import build_graph
-from repro.graph.csr import class_graph, csr_from_arrays, csr_from_edges, twin_classes
+from repro.graph.csr import (
+    class_graph, csr_from_arrays, csr_from_edges, expand, twin_classes,
+)
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES, bipartite_graphs, twin_bipartite_graphs
 
@@ -29,6 +31,18 @@ def test_isolated_nodes():
     for u in (2, 3, 4):
         assert len(csr.neighbors(u)) == 0
     assert list(csr.degrees()) == [1, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("frontier", [[], [2], [4, 2, 3], [1, 3, 0], [3, 1]])
+def test_expand_gathers_rows(frontier):
+    """Every frontier, empty or of isolated nodes only included, takes
+    the one gather: each row's (src, neighbour) pairs in frontier order,
+    as int64."""
+    csr = csr_from_arrays(np.array([0, 0, 1]), np.array([1, 3, 3]), 5)
+    srcs, nbrs = expand(csr.indptr, csr.indices, np.array(frontier, dtype=np.int64))
+    want = [(u, int(w)) for u in frontier for w in csr.neighbors(u)]
+    assert list(zip(srcs.tolist(), nbrs.tolist())) == want
+    assert srcs.dtype == nbrs.dtype == np.int64
 
 
 def _random_pairs(rng, n, m):
