@@ -1,6 +1,6 @@
 """Shared test fixtures: the paper's Figure 1 running example, random
-bipartite graphs for the networkx oracles, row-shuffled lakes, a
-Spark job counter and a frame digest.
+bipartite graphs for the networkx oracles, raw BC scores, row-shuffled
+lakes, a Spark job counter and a frame digest.
 
 ``FIGURE1_TABLES`` reconstructs the four tables of the paper (donors,
 zoos, car imports, corporate sales); ``EXAMPLE31_TABLES`` restricts to
@@ -13,8 +13,9 @@ import numpy as np
 import pandas as pd
 from hypothesis import strategies as st
 
+from repro.core.betweenness import dependency_sum
 from repro.core.graph import BipartiteGraph
-from repro.graph.csr import csr_from_arrays
+from repro.graph.csr import CSR, csr_from_arrays
 from repro.lakes.datalake import CELLS_SCHEMA
 
 #: full Figure 1 lake: {table: {column: [values]}}.
@@ -102,6 +103,11 @@ def twin_bipartite_graphs(draw, max_values: int = 8, max_attrs: int = 5):
         labels, nv, csr_from_arrays(np.array(v, dtype=np.int64),
                                     nv + np.array(a, dtype=np.int64), n)
     )
+
+
+def raw_bc(csr: CSR) -> np.ndarray:
+    """Raw BC: dependencies summed over every source."""
+    return dependency_sum(csr.indptr, csr.indices, range(csr.n))
 
 
 def shuffled(spark, cells, seed: int):

@@ -3,13 +3,8 @@ cheap, Spark-free guards for the Brandes kernel."""
 import numpy as np
 import pytest
 
-from repro.core.betweenness import dependency_sum
 from repro.graph.csr import csr_from_arrays
-
-
-def _raw_bc(csr):
-    """Raw BC: dependencies summed over every source."""
-    return dependency_sum(csr.indptr, csr.indices, range(csr.n))
+from tests.fixtures import raw_bc
 
 
 def _path(n):
@@ -36,14 +31,14 @@ def _complete_bipartite(a, b):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_path_graphs(n):
-    bc = _raw_bc(_path(n))
+    bc = raw_bc(_path(n))
     expected = [2 * i * (n - 1 - i) for i in range(n)]
     assert np.allclose(bc, expected)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 10])
 def test_star_graphs(n):
-    bc = _raw_bc(_star(n))
+    bc = raw_bc(_star(n))
     leaves = n - 1
     assert bc[0] == pytest.approx(leaves * (leaves - 1))
     assert np.allclose(bc[1:], 0)
@@ -51,12 +46,12 @@ def test_star_graphs(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_complete_graphs(n):
-    assert np.allclose(_raw_bc(_complete(n)), 0)
+    assert np.allclose(raw_bc(_complete(n)), 0)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8])
 def test_cycle_graphs_symmetric(n):
-    bc = _raw_bc(_cycle(n))
+    bc = raw_bc(_cycle(n))
     assert np.allclose(bc, bc[0])
     assert bc[0] > 0
 
@@ -65,7 +60,7 @@ def test_cycle_graphs_symmetric(n):
 def test_complete_bipartite_sides_uniform(a, b):
     """K_{a,b}: nodes within one side are interchangeable — equal BC —
     and (for a ≤ b) the smaller side carries ≥ the larger side's BC."""
-    bc = _raw_bc(_complete_bipartite(a, b))
+    bc = raw_bc(_complete_bipartite(a, b))
     assert np.allclose(bc[:a], bc[0])
     assert np.allclose(bc[a:], bc[a])
     if a < b:
@@ -74,7 +69,7 @@ def test_complete_bipartite_sides_uniform(a, b):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_tiny_graphs_zero(n):
-    bc = _raw_bc(_path(n))
+    bc = raw_bc(_path(n))
     if n == 2:
         assert np.allclose(bc, 0)
     else:

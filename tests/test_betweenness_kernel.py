@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from repro.core.betweenness import (
     betweenness_exact,
     brandes_dependencies,
-    dependency_sum,
     sample_sources,
 )
 from repro.graph.csr import CSR, csr_from_arrays
+from tests.fixtures import raw_bc
 
 
 def _brute_force_bc(csr: CSR) -> np.ndarray:
@@ -51,18 +51,13 @@ def _brute_force_bc(csr: CSR) -> np.ndarray:
     return bc
 
 
-def _raw_bc(csr: CSR) -> np.ndarray:
-    """Raw BC: dependencies summed over every source."""
-    return dependency_sum(csr.indptr, csr.indices, range(csr.n))
-
-
 def _path(n):
     return csr_from_arrays(np.arange(n - 1), np.arange(1, n), n)
 
 
 def test_normalization_constant():
     csr = _path(5)
-    raw = _raw_bc(csr)
+    raw = raw_bc(csr)
     norm = betweenness_exact(csr)
     assert np.allclose(norm, raw / (4 * 3))
 
@@ -70,7 +65,7 @@ def test_normalization_constant():
 def test_disconnected_components_independent():
     # two P3 components: middle of each has BC 2, independently.
     csr = csr_from_arrays(np.array([0, 1, 3, 4]), np.array([1, 2, 4, 5]), 6)
-    bc = _raw_bc(csr)
+    bc = raw_bc(csr)
     assert np.allclose(bc, [0, 2, 0, 0, 2, 0])
 
 
@@ -113,7 +108,7 @@ def random_graph(draw):
 @given(random_graph())
 def test_kernel_matches_brute_force(graph_n):
     csr, n = graph_n
-    got = _raw_bc(csr)
+    got = raw_bc(csr)
     ref = _brute_force_bc(csr)
     assert np.allclose(got, ref, atol=1e-9)
 
@@ -122,7 +117,7 @@ def test_kernel_matches_brute_force(graph_n):
 @given(random_graph())
 def test_bc_nonnegative_and_endpoint_free(graph_n):
     csr, _ = graph_n
-    bc = _raw_bc(csr)
+    bc = raw_bc(csr)
     assert (bc >= -1e-12).all()
     # degree-1 nodes never lie strictly inside a shortest path
     deg = csr.degrees()
