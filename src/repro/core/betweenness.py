@@ -24,14 +24,24 @@ et al., *Shattering and Compressing Networks for Betweenness
 Centrality* (SDM 2013). Exact BC runs one sweep per class; sampled BC
 keeps its sample and its ``n / s`` scale.
 
+Multi-source passes: a sweep's BFS levels are short on the class
+graph, so numpy's fixed cost per call, not the edges, bounds one sweep.
+:func:`class_dependency_sum` therefore sweeps ``SLOTS // k`` sources of
+a ``k``-class graph (:data:`SLOTS`, at least 1) in one level-synchronous
+pass over that many disjoint copies of the graph, one source per copy,
+and adds each source's row on its own, in source order. Every array of
+a pass stays within :data:`SLOTS` entries, and the sums are
+bit-identical to one sweep per source. A graph of :data:`SLOTS` classes
+or more sweeps one source per pass.
+
 Placement: Brandes is embarrassingly parallel over sources. The sweeps
 form at most :data:`CHUNKS` fixed, contiguous chunks, each summed to a
-partial vector. Below :data:`DRIVER_EDGE_VISITS` (sweeps × class-graph
-edges) the driver computes the partials itself, because a Spark job
-would cost more than the sweeps; above it one Spark job maps the chunks
-over the broadcast class graph. The driver adds the partials in chunk
-order either way, so scores are bit-identical wherever they ran and
-whatever the cluster's shape.
+partial vector by its own passes. Below :data:`DRIVER_EDGE_VISITS`
+(sweeps × class-graph edges) the driver computes the partials itself,
+because a Spark job would cost more than the sweeps; above it one Spark
+job maps the chunks over the broadcast class graph. The driver adds the
+partials in chunk order either way, so scores are bit-identical wherever
+they ran and whatever the cluster's shape.
 """
 from __future__ import annotations
 
@@ -45,13 +55,24 @@ from repro.graph.csr import CSR, class_graph, expand, twin_classes
 
 #: Source chunks per BC call; each is one partial vector on the driver.
 CHUNKS = 16
+#: Class slots of one multi-source pass: a ``k``-class graph sweeps
+#: ``SLOTS // k`` sources at once (at least 1). Measured on a 4-core box,
+#: ms per class sweep with one source per pass → with this limit: SB
+#: scale 0.1 (147 classes, 111 per pass) 0.53 → 0.046, TUS-lite sf=0.2
+#: (3,224 classes, 5) 1.44 → 1.08, TUS-lite sf=1 (7,287, 2) 3.04 →
+#: 2.84; NYC-lite sf=0.3 (8,529 classes) keeps one. Two to eight times
+#: this limit gained at most 15 % on the two small graphs and lost up to
+#: 30 % on the two large ones (3.67 and 5.53 ms at 2^17), where every
+#: BFS level touches arrays of sources × classes.
+SLOTS = 1 << 14
 #: Sweeps × class-graph directed edges below which a BC call runs its
 #: chunks on the driver instead of in one Spark job. Measured on a
-#: 4-core box: a one-sweep BC Spark job takes 0.19–0.27 s, and this many
-#: visits take 0.03–0.13 s on the driver over the generated lakes' class
-#: graphs (slowest on the smallest, where each BFS level's fixed numpy
-#: cost dominates).
-DRIVER_EDGE_VISITS = 1_000_000
+#: 4-core box: a Python Spark job of four tasks takes 0.33–0.46 s (one
+#: task 0.19–0.31 s; a JVM-only job 0.06–0.10 s), and the driver's
+#: multi-source passes visit 30–50 M class edges/s on the TUS-lite and
+#: NYC-lite class graphs. The job spreads the visits over 4 cores, so
+#: it breaks even near 4/3 × 0.3 s × 35 M/s ≈ 14 M visits.
+DRIVER_EDGE_VISITS = 14_000_000
 
 
 def brandes_dependencies(
@@ -59,7 +80,7 @@ def brandes_dependencies(
 ) -> np.ndarray:
     """Dependency vector ``delta_source(v)`` of one Brandes sweep on the
     full graph: :func:`class_dependencies` with every class one node."""
-    return class_dependencies(indptr, indices, np.ones(len(indptr) - 1), source)
+    return class_dependencies(indptr, indices, np.ones(len(indptr) - 1), [source])
 
 
 def dependency_sum(
@@ -88,12 +109,18 @@ def sample_sources(csr: CSR, n_samples: int, *, seed: int = 0) -> np.ndarray:
 
 
 def class_dependencies(
-    indptr: np.ndarray, indices: np.ndarray, size: np.ndarray, source: int
+    indptr: np.ndarray, indices: np.ndarray, size: np.ndarray, sources: Sequence[int]
 ) -> np.ndarray:
-    """Dependencies of one Brandes sweep on the class graph
-    (:func:`~repro.graph.csr.class_graph`), from one member ``r`` of
-    class ``source``, per class: the entry of class ``C`` is the
-    dependency ``delta_r(v)`` of each member ``v`` of ``C``.
+    """Dependencies of Brandes sweeps on the class graph
+    (:func:`~repro.graph.csr.class_graph`), one from a member ``r`` of
+    each class in ``sources``, per class: the entry of class ``C`` is the
+    dependency ``delta_r(v)`` of each member ``v`` of ``C``, where ``r``
+    is the source in ``C``'s connected component.
+
+    ``sources`` is ascending and holds at most one class per connected
+    component, so the sweeps never meet and share one vector: one
+    level-synchronous pass advances them all (multi-source BFS, Then et
+    al., *The More the Merrier*, VLDB 2015).
 
     ``size`` holds each class's node count. The members of a class are
     all at one distance from ``r`` and adjacent to all members of their
@@ -112,14 +139,18 @@ def class_dependencies(
     the shortest-path DAG; the backward pass walks the stored DAG edges
     level by level in reverse. Each level's sums go into zeros, in input
     order: a level's ``sigma`` and ``delta`` entries hold nothing before
-    that level's ``np.bincount`` fills them.
+    that level's ``np.bincount`` fills them. Every frontier is
+    ascending, so each component sees its edges in the order a sweep
+    from its source alone would, and its entries are bit-identical to
+    that sweep's.
     """
     k = len(indptr) - 1
+    sources = np.asarray(sources, dtype=np.int64)
     seen = np.zeros(k, dtype=bool)
     sigma = np.zeros(k, dtype=np.float64)
-    seen[source] = True
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
+    seen[sources] = True
+    sigma[sources] = 1.0
+    frontier = sources
     dag = []
     found = np.zeros(k, dtype=bool)
     while frontier.size:
@@ -140,11 +171,12 @@ def class_dependencies(
     for s_sel, n_sel in reversed(dag):
         push = size[n_sel] * sigma[s_sel] / sigma[n_sel] * (1.0 + delta[n_sel])
         delta += np.bincount(s_sel, weights=push, minlength=k)
-    nbrs = indices[indptr[source] : indptr[source + 1]]
-    deg = size[nbrs].sum()
-    if deg:  # the class of isolated nodes has no neighbour to credit
-        delta[nbrs] += (size[source] - 1.0) / deg
-    delta[source] = 0.0
+    # Twin credit; a class of isolated nodes has no neighbour to credit.
+    # Sizes are whole numbers, so each degree is an exact sum.
+    owner, nbrs = expand(indptr, indices, sources)
+    deg = np.bincount(owner, weights=size[nbrs], minlength=k)
+    delta[nbrs] += (size[owner] - 1.0) / deg[owner]
+    delta[sources] = 0.0
     return delta
 
 
@@ -152,14 +184,34 @@ def class_dependency_sum(
     indptr: np.ndarray,
     indices: np.ndarray,
     size: np.ndarray,
-    sources: np.ndarray,
-    weights: np.ndarray,
+    sources: Sequence[int],
+    weights: Sequence[float],
 ) -> np.ndarray:
     """Summed :func:`class_dependencies` of the classes ``sources``, in
-    order, each scaled by its entry of ``weights``."""
-    acc = np.zeros(len(indptr) - 1, dtype=np.float64)
-    for c, w in zip(sources, weights):
-        acc += w * class_dependencies(indptr, indices, size, int(c))
+    order, each scaled by its entry of ``weights``.
+
+    Sources run in batches of ``B = SLOTS // k`` (at least 1) over ``B``
+    disjoint copies of the ``k``-class graph, copy ``b``'s ids offset by
+    ``b * k``: one pass per batch, with each source in a component of
+    its own. Each source's row is added on its own, in source order, so
+    the sum is bit-identical to one sweep per source.
+    """
+    k = len(indptr) - 1
+    sources = np.asarray(sources, dtype=np.int64)
+    acc = np.zeros(k, dtype=np.float64)
+    b = max(1, min(len(sources), SLOTS // max(k, 1)))
+    copies = np.arange(b, dtype=np.int64)
+    m = len(indices)
+    indptr = np.append((indptr[:-1] + m * copies[:, None]).ravel(), m * b)
+    indices = (indices + k * copies[:, None]).ravel()
+    size = np.tile(size, b)
+    for i in range(0, len(sources), b):
+        batch = sources[i : i + b]
+        rows = class_dependencies(
+            indptr, indices, size, batch + k * copies[: len(batch)]
+        ).reshape(b, k)
+        for w, row in zip(weights[i : i + b], rows):
+            acc += w * row
     return acc
 
 

@@ -5,8 +5,9 @@ normalized value ``v`` occurs in attribute ``a``. Each distinct value is
 one node no matter how many attributes it occurs in.
 
 :func:`incidences` is the system's one collect boundary: Spark
-normalizes the cells and keeps the distinct incidences in one shuffle,
-and one Arrow collect brings them to the driver as a pandas frame. The
+normalizes the cells and keeps the distinct incidences in one shuffle
+of one reduce task per core, and one Arrow collect brings them to the
+driver as a pandas frame. The
 graph (:func:`graph_from_incidences`), the Definition-2 truth and D4
 all take that frame, so a caller that needs several of them collects a
 lake once. The driver prunes and holds the graph as numpy arrays:
@@ -78,8 +79,23 @@ def incidences(cells: DataFrame) -> pd.DataFrame:
     """Distinct normalized ``(attr, value)`` incidences of a lake, collected
     — the only collect of them. Graph construction, Definition-2 truth,
     TUS-I injection and D4 finish on the driver from this frame; the
-    first two and D4 leave it unmodified, so one frame serves them all."""
-    return normalize_cells(cells).select(ATTR_COL, VALUE_COL).distinct().toPandas()
+    first two and D4 leave it unmodified, so one frame serves them all.
+
+    The rows are hash-partitioned on ``(attr, value)`` into one
+    partition per core before ``distinct``, so the one shuffle has one
+    reduce task per core whatever ``spark.sql.shuffle.partitions``
+    says, and both aggregates run after it. The trade-off: no partial
+    aggregate runs before the shuffle, so a lake that repeats a cell
+    ships every copy through it. The generated lakes repeat none (their
+    normalized cells are as many as their incidences)."""
+    cores = cells.sparkSession.sparkContext.defaultParallelism
+    return (
+        normalize_cells(cells)
+        .select(ATTR_COL, VALUE_COL)
+        .repartition(cores, ATTR_COL, VALUE_COL)
+        .distinct()
+        .toPandas()
+    )
 
 
 def graph_from_incidences(

@@ -3,9 +3,13 @@
 The DomainNet graphs at reproduction scale (10^4–10^6 nodes) fit
 comfortably in driver memory as two int arrays. :mod:`repro.core.graph`
 builds the CSR once on the driver, indexed by its dense node ids. LCC
-reads it in place. BC sweeps its twin-class graph (:func:`class_graph`)
-and broadcasts that to executors, only at or above
+reads it in place. BC sweeps its twin-class graph (:func:`class_graph`),
+several sources per pass over disjoint copies of it that share one CSR
+(:func:`~repro.core.betweenness.class_dependency_sum`), and broadcasts
+the class graph to executors only at or above
 :data:`~repro.core.betweenness.DRIVER_EDGE_VISITS` sweeps × class edges.
+:func:`expand` gathers a frontier's edges in frontier order, which keeps
+each copy's edges in the order of a sweep on the graph alone.
 """
 from __future__ import annotations
 

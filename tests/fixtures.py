@@ -1,6 +1,6 @@
 """Shared test fixtures: the paper's Figure 1 running example, random
 bipartite graphs for the networkx oracles, raw BC scores, row-shuffled
-lakes, a Spark job counter and a frame digest.
+lakes, Spark job and stage-task counters and a frame digest.
 
 ``FIGURE1_TABLES`` reconstructs the four tables of the paper (donors,
 zoos, car imports, corporate sales); ``EXAMPLE31_TABLES`` restricts to
@@ -119,8 +119,9 @@ def shuffled(spark, cells, seed: int):
     )
 
 
-def spark_jobs(spark, group, fn) -> int:
-    """Spark jobs that ``fn()`` runs, counted through a job group."""
+def _run_in_group(spark, group, fn):
+    """Run ``fn()`` in a Spark job group; return the status tracker once
+    every event of its jobs has arrived."""
     sc = spark.sparkContext
     sc.setJobGroup(group, group)
     try:
@@ -128,7 +129,26 @@ def spark_jobs(spark, group, fn) -> int:
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
-    return len(sc.statusTracker().getJobIdsForGroup(group))
+    return sc.statusTracker()
+
+
+def spark_jobs(spark, group, fn) -> int:
+    """Spark jobs that ``fn()`` runs, counted through a job group."""
+    return len(_run_in_group(spark, group, fn).getJobIdsForGroup(group))
+
+
+def spark_stage_tasks(spark, group, fn) -> list[int]:
+    """Tasks run by each Spark stage that ``fn()`` runs, in stage order,
+    counted through a job group. A stage that a later job reuses is
+    skipped there and counted once."""
+    tracker = _run_in_group(spark, group, fn)
+    stages = sorted({
+        stage
+        for job in tracker.getJobIdsForGroup(group)
+        for stage in tracker.getJobInfo(job).stageIds
+    })
+    infos = [tracker.getStageInfo(stage) for stage in stages]
+    return [i.numCompletedTasks for i in infos if i and i.numCompletedTasks]
 
 
 def frame_digest(frame: pd.DataFrame) -> str:

@@ -1,12 +1,17 @@
 """Distributed-BC tests: BC must agree with the unit-size sums on the
-full graph (:func:`~repro.core.betweenness.betweenness_exact`), and the
-sampled estimator must behave. Each test runs BC's sweeps in a Spark
-job and on the driver, which must give bit-identical scores; a call at
-the driver limit runs one Spark job, and one below it none."""
+full graph (:func:`~repro.core.betweenness.betweenness_exact`) and, on a
+twin-rich graph, with networkx; the sampled estimator must behave; and
+the scores must not depend on how many sources one multi-source pass
+sweeps. Each test runs BC's sweeps in a Spark job and on the driver,
+which must give bit-identical scores; a call at the driver limit runs
+one Spark job, and one below it none."""
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import betweenness
 from repro.core.betweenness import (
@@ -21,7 +26,7 @@ from repro.core.betweenness import (
 from repro.core.graph import build_graph
 from repro.graph.csr import class_graph, csr_from_arrays, twin_classes
 from repro.lakes.datalake import lake_from_tables
-from tests.fixtures import EXAMPLE31_TABLES, spark_jobs
+from tests.fixtures import EXAMPLE31_TABLES, spark_jobs, twin_bipartite_graphs
 
 
 def _random_csr(n=40, m=120, seed=3):
@@ -125,6 +130,20 @@ def _twin_csr(n_values=60, n_attrs=8, seed=11):
     return csr_from_arrays(src, dst, n_values + n_attrs)
 
 
+def test_twin_graph_matches_networkx(spark, monkeypatch):
+    """Exact BC on a graph with many twin classes equals networkx's, so
+    the class sweep's size factors and twin credit are checked here
+    against an independent reference."""
+    csr = _twin_csr()
+    assert twin_classes(csr).max() + 1 < csr.n
+    got = _both(monkeypatch, lambda: betweenness_values(spark, csr))
+    g = nx.Graph()
+    g.add_nodes_from(range(csr.n))
+    g.add_edges_from(zip(np.repeat(np.arange(csr.n), csr.degrees()), csr.indices))
+    want = nx.betweenness_centrality(g)
+    assert np.allclose(got, [want[u] for u in range(csr.n)], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n_samples", [None, 25])
 def test_chunked_sum_bit_identical(spark, monkeypatch, n_samples):
     """BC adds the same class-kernel chunk partials in the same order as
@@ -196,3 +215,72 @@ def test_empty_sources_yields_empty(spark, monkeypatch):
     bc = _both(monkeypatch, lambda: betweenness_values(spark, csr, n_samples=0))
     assert not bc.any()
     assert betweenness_spark(spark, csr, n_samples=0).count() == 0
+
+
+@st.composite
+def _split_twin_csrs(draw):
+    """Two :func:`twin_bipartite_graphs` side by side and 1–3 isolated
+    nodes, with at least one edge: a class graph of at least two
+    connected components, one of them the class of isolated nodes."""
+    parts = [draw(twin_bipartite_graphs()).csr for _ in range(2)]
+    src, dst, n = [], [], 0
+    for csr in parts:
+        src.append(n + np.repeat(np.arange(csr.n), csr.degrees()))
+        dst.append(n + csr.indices)
+        n += csr.n
+    csr = csr_from_arrays(
+        np.concatenate(src), np.concatenate(dst), n + draw(st.integers(1, 3))
+    )
+    assume(len(csr.indices))
+    return csr
+
+
+def _slots(k, s):
+    """``SLOTS`` values that make a ``k``-class graph sweep 1, 2, 3 and
+    all ``s`` of its sources per pass."""
+    return (k, 2 * k, 3 * k, s * k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_split_twin_csrs(), st.data())
+def test_batch_size_invariant_sum(csr, data):
+    """The weighted sum over class sources is bit-identical however many
+    sources each multi-source pass sweeps."""
+    cls = twin_classes(csr)
+    graph = class_graph(csr, cls)
+    size = np.bincount(cls).astype(np.float64)
+    order = data.draw(st.permutations(range(graph.n)))
+    sources = np.array(order[: data.draw(st.integers(1, graph.n))])
+    weights = np.array(data.draw(st.lists(
+        st.integers(1, 9), min_size=len(sources), max_size=len(sources)
+    )), dtype=np.float64)
+    sums = []
+    with pytest.MonkeyPatch.context() as mp:
+        for slots in _slots(graph.n, len(sources)):
+            mp.setattr(betweenness, "SLOTS", slots)
+            sums.append(class_dependency_sum(
+                graph.indptr, graph.indices, size, sources, weights
+            ))
+    for got in sums[1:]:
+        assert np.array_equal(got, sums[0])
+
+
+@settings(max_examples=10, deadline=None)
+@given(_split_twin_csrs(), st.sampled_from([None, 5]))
+def test_batch_size_invariant_bc(spark, csr, n_samples):
+    """BC is bit-identical across passes of 1, 2, 3 and all sources of a
+    chunk, on the driver and in a Spark job. Two chunks leave each chunk
+    several sources to batch. Spark's workers import the module afresh
+    and sweep with the default ``SLOTS``; ``_both`` equates them with
+    the driver's."""
+    k = class_graph(csr, twin_classes(csr)).n
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betweenness, "CHUNKS", 2)
+        for slots in _slots(k, csr.n):
+            mp.setattr(betweenness, "SLOTS", slots)
+            runs.append(_both(mp, lambda: betweenness_values(
+                spark, csr, n_samples=n_samples, seed=4
+            )))
+    for got in runs[1:]:
+        assert np.array_equal(got, runs[0])

@@ -5,7 +5,8 @@ and TUS-I injection run no more Spark jobs than that collect (injection
 one more, to collect the column → domain table it is given), and D4 on
 a lake needs nothing beyond it. The Definition-2 truth and D4 run no
 Spark job on a collected frame, and the driver-side steps leave the
-frame they share as they found it.
+frame they share as they found it. The collect's one shuffle has one
+reduce task per core, whatever the session's shuffle partitions.
 """
 import pandas as pd
 import pytest
@@ -14,7 +15,7 @@ from repro.baselines.d4 import discover_domains
 from repro.core.graph import build_graph, graph_from_incidences, incidences
 from repro.lakes.tus import definition2_truth, tus_lake
 from repro.lakes.tus_inject import inject_homographs
-from tests.fixtures import spark_jobs
+from tests.fixtures import spark_jobs, spark_stage_tasks
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +64,23 @@ def test_shared_frame_unchanged(lake):
     definition2_truth(inc, lake.columns)
     discover_domains(inc)
     pd.testing.assert_frame_equal(inc, before)
+
+
+@pytest.mark.parametrize("partitions", [64, 200])
+def test_one_reduce_task_per_core(spark, lake, partitions):
+    """``incidences`` runs one shuffle, a map stage then a reduce stage
+    of ``defaultParallelism`` tasks, and returns the distinct rows."""
+    conf = spark.conf
+    before = conf.get("spark.sql.shuffle.partitions")
+    conf.set("spark.sql.shuffle.partitions", partitions)
+    try:
+        got = []
+        tasks = spark_stage_tasks(
+            spark, f"reduce_tasks:{partitions}",
+            lambda: got.append(incidences(lake.cells)),
+        )
+    finally:
+        conf.set("spark.sql.shuffle.partitions", before)
+    assert len(tasks) == 2
+    assert tasks[-1] == spark.sparkContext.defaultParallelism
+    assert not got[0].duplicated().any()
