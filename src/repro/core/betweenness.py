@@ -29,8 +29,8 @@ graph, so numpy's fixed cost per call, not the edges, bounds one sweep.
 :func:`class_dependency_sum` therefore sweeps ``SLOTS // k`` sources of
 a ``k``-class graph (:data:`SLOTS`, at least 1) in one level-synchronous
 pass over that many disjoint copies of the graph, one source per copy,
-and adds each source's row on its own, in source order. Every array of
-a pass stays within :data:`SLOTS` entries, and the sums are
+and adds each source's row on its own, in source order. A pass's
+per-class arrays hold at most :data:`SLOTS` entries, and the sums are
 bit-identical to one sweep per source. A graph of :data:`SLOTS` classes
 or more sweeps one source per pass.
 
@@ -60,7 +60,7 @@ CHUNKS = 16
 #: ms per class sweep with one source per pass → with this limit: SB
 #: scale 0.1 (147 classes, 111 per pass) 0.53 → 0.046, TUS-lite sf=0.2
 #: (3,224 classes, 5) 1.44 → 1.08, TUS-lite sf=1 (7,287, 2) 3.04 →
-#: 2.84; NYC-lite sf=0.3 (8,529 classes) keeps one. Two to eight times
+#: 2.84; NYC-lite sf=0.3 (8,529 classes at seed 7) keeps one. Two to eight times
 #: this limit gained at most 15 % on the two small graphs and lost up to
 #: 30 % on the two large ones (3.67 and 5.53 ms at 2^17), where every
 #: BFS level touches arrays of sources × classes.

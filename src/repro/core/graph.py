@@ -7,10 +7,9 @@ one node no matter how many attributes it occurs in.
 :func:`incidences` is the system's one collect boundary: Spark
 normalizes the cells and keeps the distinct incidences in one shuffle
 of one reduce task per core, and one Arrow collect brings them to the
-driver as a pandas frame. The
-graph (:func:`graph_from_incidences`), the Definition-2 truth and D4
-all take that frame, so a caller that needs several of them collects a
-lake once. The driver prunes and holds the graph as numpy arrays:
+driver as a pandas frame. The graph (:func:`graph_from_incidences`),
+the Definition-2 truth and D4 all take that frame, so a caller that
+needs several of them collects a lake once. The driver prunes and holds the graph as numpy arrays:
 
 - ``labels``: node id → label. Value nodes take ids ``[0, n_values)``,
   attribute nodes the rest, each in label (code point) order — Spark's
