@@ -11,13 +11,13 @@ the twin-class graph below. :func:`brandes_dependencies` runs it on the
 full graph with every class size 1: Fig. 9's O(s·m) kernel and the
 tests' reference sums.
 
-Twins: nodes with identical neighbour sets
-(:func:`~repro.graph.csr.twin_classes`) have identical dependency
+Twins: nodes with identical neighbour sets (the classes of
+:attr:`~repro.graph.csr.CSR.twins`) have identical dependency
 vectors, because swapping two twins is a graph automorphism and a twin
 of the source is never interior to a shortest path from it. Twins are
 never adjacent, and their class is adjacent to all of each neighbour
-class. So :func:`betweenness_values` sweeps the class graph
-(:func:`~repro.graph.csr.class_graph`), one sweep per class of sources
+class. So :func:`betweenness_values` sweeps the class graph of the CSR's
+cached compression, which LCC reads too, one sweep per class of sources
 weighted by how many sources it has, and expands the class scores to
 nodes once at the end: the "identical vertices" reduction of Sariyüce
 et al., *Shattering and Compressing Networks for Betweenness
@@ -51,7 +51,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graph.csr import CSR, class_graph, expand, twin_classes
+from repro.graph.csr import CSR, expand
 
 #: Source chunks per BC call; each is one partial vector on the driver.
 CHUNKS = 16
@@ -112,7 +112,7 @@ def class_dependencies(
     indptr: np.ndarray, indices: np.ndarray, size: np.ndarray, sources: Sequence[int]
 ) -> np.ndarray:
     """Dependencies of Brandes sweeps on the class graph
-    (:func:`~repro.graph.csr.class_graph`), one from a member ``r`` of
+    (:func:`~repro.graph.csr.compress`), one from a member ``r`` of
     each class in ``sources``, per class: the entry of class ``C`` is the
     dependency ``delta_r(v)`` of each member ``v`` of ``C``, where ``r``
     is the source in ``C``'s connected component.
@@ -229,7 +229,7 @@ def betweenness_values(
     are :func:`sample_sources`'s draw and the estimator scales by
     ``n / s``, so sampled and exact scores are on the same scale (and
     identical when ``s = n``). Sources that are twins
-    (:func:`~repro.graph.csr.twin_classes`) share one sweep on the class
+    (:attr:`~repro.graph.csr.CSR.twins`) share one sweep on the class
     graph, weighted by their count, in order of their first source.
     Below :data:`DRIVER_EDGE_VISITS` the chunks run on the driver,
     otherwise in one Spark job; the same partials are added in the same
@@ -240,9 +240,8 @@ def betweenness_values(
     else:
         sources = sample_sources(csr, n_samples, seed=seed)
     n, s = csr.n, len(sources)
-    classes = twin_classes(csr)
-    graph = class_graph(csr, classes)
-    arrays = (graph.indptr, graph.indices, np.bincount(classes).astype(np.float64))
+    classes, size, graph = csr.twins
+    arrays = (graph.indptr, graph.indices, size)
     swept, first, counts = np.unique(
         classes[sources], return_index=True, return_counts=True
     )

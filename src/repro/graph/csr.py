@@ -2,11 +2,14 @@
 
 The DomainNet graphs at reproduction scale (10^4–10^6 nodes) fit
 comfortably in driver memory as two int arrays. :mod:`repro.core.graph`
-builds the CSR once on the driver, indexed by its dense node ids. LCC
-reads it in place. BC sweeps its twin-class graph (:func:`class_graph`),
-several sources per pass over disjoint copies of it that share one CSR
+builds the CSR once on the driver, indexed by its dense node ids. Its
+twin compression (:func:`compress`: the twin classes, their sizes and
+the class graph) is built on first use and kept on the CSR as
+:attr:`CSR.twins`, so BC and LCC on one graph share one. LCC walks the
+class graph's two-hop paths. BC sweeps it, several sources per pass
+over disjoint copies of it that share one CSR
 (:func:`~repro.core.betweenness.class_dependency_sum`), and broadcasts
-the class graph to executors only at or above
+it to executors only at or above
 :data:`~repro.core.betweenness.DRIVER_EDGE_VISITS` sweeps × class edges.
 :func:`expand` gathers a frontier's edges in frontier order, which keeps
 each copy's edges in the order of a sweep on the graph alone.
@@ -14,6 +17,8 @@ each copy's edges in the order of a sweep on the graph alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -45,6 +50,11 @@ class CSR:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    @cached_property
+    def twins(self) -> Twins:
+        """The twin compression (:func:`compress`), built on first use."""
+        return compress(self)
+
 
 def expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     """All (src, neighbor) pairs for edges leaving ``frontier`` nodes."""
@@ -58,42 +68,46 @@ def expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
     return np.repeat(frontier, counts), indices[idx]
 
 
-def twin_classes(csr: CSR) -> np.ndarray:
-    """Class id of every node: twins, nodes with identical neighbour
-    sets, share one id (all isolated nodes are one class).
+class Twins(NamedTuple):
+    """A graph's twin compression (:func:`compress`): the class of every
+    node, each class's node count (as floats, the kernels' weights) and
+    the class graph."""
 
-    Each row's bytes are a dict key, so rows are compared whole, not by
-    hash alone. Ids follow each class's smallest node, so a graph
-    without twins gets ``class[u] == u``.
+    classes: np.ndarray
+    size: np.ndarray
+    graph: CSR
+
+
+def compress(csr: CSR) -> Twins:
+    """The twin compression of ``csr``; read it as :attr:`CSR.twins`,
+    which builds it once.
+
+    Twins, nodes with identical neighbour sets, share one class (all
+    isolated nodes are one class). Each row's bytes are a dict key, so
+    rows are compared whole, not by hash alone. Class ids follow each
+    class's smallest node, its representative, so a graph without twins
+    gets ``classes[u] == u``.
+
+    The class graph has one node per class and an edge where the members
+    of two classes are adjacent. Twins are never adjacent to each other,
+    and a node adjacent to one member of a class is adjacent to all of
+    them. So the class edges are the edges between representatives,
+    read off their rows, and each row stays sorted.
     """
     buf = csr.indices.tobytes()
     ptr = (csr.indices.itemsize * csr.indptr).tolist()
     first: dict[bytes, int] = {}
-    smallest = [
+    smallest = np.array([
         first.setdefault(buf[a:b], u) for u, (a, b) in enumerate(zip(ptr, ptr[1:]))
-    ]
-    return np.unique(np.array(smallest, dtype=np.int64), return_inverse=True)[1]
-
-
-def class_graph(csr: CSR, classes: np.ndarray) -> CSR:
-    """The twin-class graph: one node per class of ``classes``
-    (:func:`twin_classes`), an edge where the members of two classes
-    are adjacent.
-
-    Twins are never adjacent to each other, and a node adjacent to one
-    member of a class is adjacent to all of them. So the class edges
-    are the edges between class representatives (each class's smallest
-    node), read off the representatives' rows. Class ids follow the
-    representatives' node ids, so each row stays sorted.
-    """
-    reps = np.unique(classes, return_index=True)[1]
-    is_rep = np.zeros(csr.n, dtype=bool)
-    is_rep[reps] = True
+    ], dtype=np.int64)
+    reps, classes = np.unique(smallest, return_inverse=True)
+    is_rep = smallest == np.arange(csr.n)
     srcs, nbrs = expand(csr.indptr, csr.indices, reps)
     keep = is_rep[nbrs]
     indptr = np.zeros(len(reps) + 1, dtype=np.int64)
     np.cumsum(np.bincount(classes[srcs[keep]], minlength=len(reps)), out=indptr[1:])
-    return CSR(indptr=indptr, indices=classes[nbrs[keep]])
+    size = np.bincount(classes).astype(np.float64)
+    return Twins(classes, size, CSR(indptr=indptr, indices=classes[nbrs[keep]]))
 
 
 def csr_from_arrays(src: np.ndarray, dst: np.ndarray, n: int) -> CSR:

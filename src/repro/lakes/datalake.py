@@ -36,14 +36,15 @@ def lake_from_tables(
         for v in vals
     ]
     pdf = pd.DataFrame(rows, columns=["table_id", "col_id", "value"])
-    return spark.createDataFrame(pdf, schema=CELLS_SCHEMA)
+    return lake_from_memberships(spark, pdf)
 
 
 def lake_from_memberships(spark: SparkSession, memberships: pd.DataFrame) -> DataFrame:
     """Build a cells DataFrame from a pandas ``(table_id, col_id, value)``
-    membership frame (one row per *distinct* cell). Generators producing
-    large lakes assemble memberships vectorized in pandas/numpy and hand
-    them to Spark here."""
+    membership frame, one row per cell occurrence (a repeated cell stays
+    repeated). Every lake enters Spark here: the generators assemble
+    their memberships vectorized in pandas/numpy, and
+    :func:`lake_from_tables` builds its frame from nested lists."""
     return spark.createDataFrame(
         memberships[["table_id", "col_id", "value"]], schema=CELLS_SCHEMA
     )

@@ -24,7 +24,7 @@ from repro.core.betweenness import (
     brandes_dependencies,
 )
 from repro.core.graph import build_graph
-from repro.graph.csr import CSR, csr_from_arrays, twin_classes
+from repro.graph.csr import CSR, csr_from_arrays
 from repro.lakes.sb import sb_lake
 from tests.fixtures import bipartite_graphs, twin_bipartite_graphs
 
@@ -101,7 +101,7 @@ def test_generated_lake_matches_networkx(spark):
     """End to end on a generated lake: SB at scale 0.1 has 1,170 nodes
     in 147 twin classes."""
     graph = build_graph(sb_lake(spark, scale=0.1, seed=0).cells)
-    assert (graph.n_nodes, twin_classes(graph.csr).max() + 1) == (1170, 147)
+    assert (graph.n_nodes, graph.csr.twins.graph.n) == (1170, 147)
     got = betweenness_values(spark, graph.csr)
     assert np.allclose(got, _nx_bc(graph), rtol=1e-12, atol=0)
 
@@ -115,7 +115,7 @@ def _with_isolated(graph, extra: int) -> CSR:
 def _twin_weighted_sum(csr: CSR, sources: np.ndarray) -> np.ndarray:
     """Normalized BC as full-graph sweeps, one per twin class of
     ``sources`` from its first source, weighted by its source count."""
-    cls = twin_classes(csr)
+    cls = csr.twins.classes
     _, first, counts = np.unique(cls[sources], return_index=True, return_counts=True)
     acc = np.zeros(csr.n)
     for i in np.argsort(first):
@@ -141,7 +141,7 @@ def test_class_graph_matches_full_graph(spark, graph, extra, data):
         else betweenness.sample_sources(csr, n_samples, seed=3)
     )
     assert np.allclose(got, _twin_weighted_sum(csr, sources), rtol=1e-12, atol=0)
-    cls = twin_classes(csr)
+    cls = csr.twins.classes
     assert np.array_equal(got, got[np.unique(cls, return_index=True)[1]][cls])
 
 
@@ -152,7 +152,7 @@ def test_sampled_bc_unbiased(spark, monkeypatch, s):
     v = np.array([0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 5, 6])
     a = np.array([7, 8, 7, 8, 7, 8, 8, 9, 10, 9, 10, 10])
     csr = csr_from_arrays(v, a, 12)  # node 11 is isolated
-    assert twin_classes(csr).max() + 1 == 9
+    assert csr.twins.graph.n == 9
     sets = list(combinations(range(csr.n), s))
     monkeypatch.setattr(
         betweenness, "sample_sources", lambda csr, n, *, seed: np.array(sets[seed])

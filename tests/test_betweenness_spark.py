@@ -24,7 +24,7 @@ from repro.core.betweenness import (
     sample_sources,
 )
 from repro.core.graph import build_graph
-from repro.graph.csr import class_graph, csr_from_arrays, twin_classes
+from repro.graph.csr import csr_from_arrays
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES, spark_jobs, twin_bipartite_graphs
 
@@ -135,7 +135,7 @@ def test_twin_graph_matches_networkx(spark, monkeypatch):
     the class sweep's size factors and twin credit are checked here
     against an independent reference."""
     csr = _twin_csr()
-    assert twin_classes(csr).max() + 1 < csr.n
+    assert csr.twins.graph.n < csr.n
     got = _both(monkeypatch, lambda: betweenness_values(spark, csr))
     g = nx.Graph()
     g.add_nodes_from(range(csr.n))
@@ -159,9 +159,7 @@ def test_chunked_sum_bit_identical(spark, monkeypatch, n_samples):
     got = _both(
         monkeypatch, lambda: betweenness_values(spark, csr, n_samples=n_samples, seed=2)
     )
-    cls = twin_classes(csr)
-    graph = class_graph(csr, cls)
-    size = np.bincount(cls).astype(np.float64)
+    cls, size, graph = csr.twins
     slot, reps, weights = {}, [], []
     for s in sources:
         if cls[s] not in slot:
@@ -182,9 +180,9 @@ def test_chunked_sum_bit_identical(spark, monkeypatch, n_samples):
 
 def _visits(csr, n_samples, seed):
     """Sweeps × class-graph directed edges of one BC call."""
-    cls = twin_classes(csr)
+    cls, _, graph = csr.twins
     sweeps = len(np.unique(cls[sample_sources(csr, n_samples, seed=seed)]))
-    return sweeps * len(class_graph(csr, cls).indices)
+    return sweeps * len(graph.indices)
 
 
 def test_one_spark_job(spark, monkeypatch):
@@ -246,9 +244,7 @@ def _slots(k, s):
 def test_batch_size_invariant_sum(csr, data):
     """The weighted sum over class sources is bit-identical however many
     sources each multi-source pass sweeps."""
-    cls = twin_classes(csr)
-    graph = class_graph(csr, cls)
-    size = np.bincount(cls).astype(np.float64)
+    _, size, graph = csr.twins
     order = data.draw(st.permutations(range(graph.n)))
     sources = np.array(order[: data.draw(st.integers(1, graph.n))])
     weights = np.array(data.draw(st.lists(
@@ -273,7 +269,7 @@ def test_batch_size_invariant_bc(spark, csr, n_samples):
     several sources to batch. Spark's workers import the module afresh
     and sweep with the default ``SLOTS``; ``_both`` equates them with
     the driver's."""
-    k = class_graph(csr, twin_classes(csr)).n
+    k = csr.twins.graph.n
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(betweenness, "CHUNKS", 2)

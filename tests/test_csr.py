@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import build_graph
-from repro.graph.csr import (
-    class_graph, csr_from_arrays, csr_from_edges, expand, twin_classes,
-)
+from repro.graph.csr import csr_from_arrays, csr_from_edges, expand
 from repro.lakes.datalake import lake_from_tables
 from tests.fixtures import EXAMPLE31_TABLES, bipartite_graphs, twin_bipartite_graphs
 
@@ -117,20 +115,21 @@ def test_twin_classes_match_neighbour_sets(graph):
     ids: dict = {}
     ref = [ids.setdefault(frozenset(csr.neighbors(u).tolist()), len(ids))
            for u in range(csr.n)]
-    assert np.array_equal(twin_classes(csr), ref)
+    assert np.array_equal(csr.twins.classes, ref)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(bipartite_graphs(), twin_bipartite_graphs()))
 def test_class_graph_matches_member_edges(graph):
     """Two classes are adjacent iff some members are, and then every
-    member of one is adjacent to every member of the other."""
+    member of one is adjacent to every member of the other. Each class's
+    size is its member count."""
     csr = graph.csr
-    cls = twin_classes(csr)
-    cg = class_graph(csr, cls)
+    cls, size, cg = csr.twins
     k = cls.max() + 1 if csr.n else 0
     members = [np.flatnonzero(cls == c) for c in range(k)]
     assert cg.n == k
+    assert size.tolist() == [len(m) for m in members]
     for c in range(k):
         want = sorted({cls[v] for u in members[c] for v in csr.neighbors(u)})
         assert cg.neighbors(c).tolist() == want

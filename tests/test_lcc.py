@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.core import lcc
@@ -14,7 +15,7 @@ from repro.core.graph import build_graph
 from repro.core.lcc import lcc_scores, lcc_values
 from repro.lakes.datalake import lake_from_tables
 from repro.oracle import assert_equivalent
-from tests.fixtures import EXAMPLE36_LCC, bipartite_graphs
+from tests.fixtures import EXAMPLE36_LCC, bipartite_graphs, twin_bipartite_graphs
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +57,15 @@ def test_isolated_value_filled_with_one(spark):
 
 
 @settings(max_examples=150, deadline=None)
-@given(bipartite_graphs())
+@given(st.one_of(bipartite_graphs(), twin_bipartite_graphs()))
 def test_lcc_matches_networkx_latapy(graph):
     """Equation (1) is Latapy's bipartite clustering (mode "dot"); values
-    without a value-neighbor keep the documented 1.0 fill."""
+    without a value-neighbor keep the documented 1.0 fill. On graphs with
+    twin values and twin attributes this checks the class walk's weights,
+    and twins tie exactly."""
     got = lcc_values(graph)
+    classes = graph.csr.twins.classes[: graph.n_values]
+    assert np.array_equal(got, got[np.unique(classes, return_index=True)[1]][classes])
     g = nx.Graph()
     g.add_nodes_from(range(graph.n_nodes))
     g.add_edges_from(graph.edge_frame().itertuples(index=False))
@@ -71,9 +76,9 @@ def test_lcc_matches_networkx_latapy(graph):
 
 
 @settings(max_examples=50, deadline=None)
-@given(bipartite_graphs())
+@given(st.one_of(bipartite_graphs(), twin_bipartite_graphs()))
 def test_lcc_blocks_agree(graph):
-    """Blocks of one value each give the same scores as one block."""
+    """Blocks of one value class each give the same scores as one block."""
     whole = lcc_values(graph)
     with patch.object(lcc, "BLOCK_PATHS", 1):
         assert np.array_equal(lcc_values(graph), whole)

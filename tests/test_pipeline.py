@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import rank_graph, rank_homographs
 from repro.core.graph import build_graph
+from repro.graph import csr as csr_module
 from repro.eval.metrics import metrics_at_k, topk_curve
 from repro.lakes.datalake import lake_from_tables
 from repro.lakes.sb import sb_lake
@@ -24,6 +25,18 @@ def test_figure1_lcc_ranks_jaguar_first(spark):
     g = build_graph(lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False)
     top = rank_graph(spark, g, measure="lcc").head(1)
     assert list(top.label) == ["JAGUAR"]
+
+
+def test_twin_compression_built_once(spark, monkeypatch):
+    """BC and then LCC on one graph share one twin compression."""
+    compress, calls = csr_module.compress, []
+    monkeypatch.setattr(
+        csr_module, "compress", lambda csr: calls.append(csr) or compress(csr)
+    )
+    g = build_graph(lake_from_tables(spark, EXAMPLE31_TABLES), prune_unique=False)
+    for measure in ("bc", "lcc"):
+        rank_graph(spark, g, measure=measure)
+    assert [csr is g.csr for csr in calls] == [True]
 
 
 def test_unknown_measure_raises(spark):
