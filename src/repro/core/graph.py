@@ -14,6 +14,8 @@ needs several of them collects a lake once. The driver prunes and holds the grap
 - ``labels``: node id → label. Value nodes take ids ``[0, n_values)``,
   attribute nodes the rest, each in label (code point) order — Spark's
   string order — so ids are dense and independent of lake row order.
+  :func:`graph_from_incidences`, the one place that numbers nodes,
+  takes them from one ``pd.factorize(..., sort=True)`` per column.
 - ``csr``: the undirected adjacency, built once.
 
 Paper §5 pre-processing: values occurring in a single attribute cannot be
@@ -90,7 +92,6 @@ def incidences(cells: DataFrame) -> pd.DataFrame:
     cores = cells.sparkSession.sparkContext.defaultParallelism
     return (
         normalize_cells(cells)
-        .select(ATTR_COL, VALUE_COL)
         .repartition(cores, ATTR_COL, VALUE_COL)
         .distinct()
         .toPandas()
@@ -107,13 +108,12 @@ def graph_from_incidences(
     values were pruned, so attribute ids do not depend on the prune
     setting.
     """
-    attrs, attr_idx = np.unique(inc[ATTR_COL].to_numpy(object), return_inverse=True)
-    values = inc[VALUE_COL].to_numpy(object)
+    attr_idx, attrs = pd.factorize(inc[ATTR_COL].to_numpy(), sort=True)
+    value_idx, values = pd.factorize(inc[VALUE_COL].to_numpy(), sort=True)
     if prune_unique:
-        _, value_idx = np.unique(values, return_inverse=True)
         kept = np.bincount(value_idx)[value_idx] >= 2
-        values, attr_idx = values[kept], attr_idx[kept]
-    values, value_idx = np.unique(values, return_inverse=True)
+        kept_ids, value_idx = np.unique(value_idx[kept], return_inverse=True)
+        values, attr_idx = values[kept_ids], attr_idx[kept]
     n_values = len(values)
     csr = csr_from_arrays(value_idx, n_values + attr_idx, n_values + len(attrs))
     return BipartiteGraph(np.concatenate([values, attrs]), n_values, csr)

@@ -345,14 +345,12 @@ def spark_session() -> SparkSession:
     """The Spark session of the experiments and of the test suite.
 
     ``PYSPARK_SUBMIT_ARGS`` picks the master and driver memory, which the
-    JVM reads at launch; these are the settings honoured after it. Broadcast
-    joins happen only where a query asks for one (the TUS-I rewrites).
+    JVM reads at launch; these are the settings honoured after it.
     """
     return (
         SparkSession.builder.appName("repro")
         .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -14,7 +14,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.graph.csr import CSR, csr_from_arrays
+from repro.core.graph import graph_from_incidences
+from repro.core.normalize import ATTR_COL, VALUE_COL
+from repro.graph.csr import CSR
 from repro.lakes.tus import TUSLake, tus_lake
 
 
@@ -39,15 +41,14 @@ def attribute_induced_subgraph(
 
     Repeatedly pick a random attribute node and add all its incident
     value nodes until the subgraph reaches ``target_edges`` (within the
-    last attribute's margin). Node ids are re-densified so the CSR is
-    compact.
+    last attribute's margin). The chosen edges are a graph of their own,
+    so :func:`~repro.core.graph.graph_from_incidences` gives them dense
+    node ids.
     """
     rng = np.random.default_rng(seed)
     attrs, sizes = np.unique(edges["attr_id"].to_numpy(), return_counts=True)
     order = rng.permutation(len(attrs))  # sorted ids: independent of row order
     n_chosen = np.searchsorted(np.cumsum(sizes[order]), target_edges) + 1
     sub = edges[edges["attr_id"].isin(attrs[order[:n_chosen]])]
-    # densify ids: values then attrs, as in repro.core.graph.
-    v_ids, src = np.unique(sub["value_id"].to_numpy(), return_inverse=True)
-    a_ids, dst = np.unique(sub["attr_id"].to_numpy(), return_inverse=True)
-    return csr_from_arrays(src, len(v_ids) + dst, len(v_ids) + len(a_ids))
+    inc = sub.rename(columns={"attr_id": ATTR_COL, "value_id": VALUE_COL})
+    return graph_from_incidences(inc, prune_unique=False).csr

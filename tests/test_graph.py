@@ -51,8 +51,13 @@ def test_node_ids_deterministic_by_label(g31):
 
 def test_node_ids_follow_spark_label_order(spark):
     # Accents, CJK, and an astral-plane character (UTF-16 would sort it
-    # before U+FF21; code-point order, like Spark's, sorts it after).
-    words = ["zebra", "éclair", "Äpfel", "日本", "\uff21x", "\U0001f600", "Ω", "a b"]
+    # before U+FF21; code-point order, like Spark's, sorts it after); a
+    # combining accent next to its precomposed form (two labels: values
+    # are trimmed and upper-cased, not Unicode-normalized), and letters
+    # whose upper case is longer or lands far away in code-point order
+    # (ß, the dz digraph, dotless i, the fi ligature).
+    words = ["zebra", "éclair", "Äpfel", "日本", "\uff21x", "\U0001f600", "Ω", "a b",
+             "e\u0301", "\u00e9", "straße", "ǆ", "ı", "ﬁ"]
     lake = lake_from_tables(spark, {"T": {"c": words, "d": words}})
     g = build_graph(lake)
     spark_order = (
