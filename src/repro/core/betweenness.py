@@ -91,17 +91,6 @@ def dependency_sum(
     return class_dependency_sum(indptr, indices, np.ones(n), sources, np.ones(s))
 
 
-def betweenness_exact(csr: CSR) -> np.ndarray:
-    """Exact normalized BC of every node, on the driver.
-
-    Raw scores (:func:`dependency_sum` over every source) sum
-    dependencies over *ordered* source–target pairs (the undirected-graph
-    Brandes convention); they are divided by ``(n - 1)(n - 2)`` so scores
-    are comparable across graph sizes.
-    """
-    return _normalize(dependency_sum(csr.indptr, csr.indices, range(csr.n)), csr.n)
-
-
 def sample_sources(csr: CSR, n_samples: int, *, seed: int = 0) -> np.ndarray:
     """Sample distinct source nodes uniformly (§3.3)."""
     rng = np.random.default_rng(seed)
@@ -279,4 +268,5 @@ def betweenness_spark(spark: SparkSession, csr: CSR, **kwargs) -> DataFrame:
 
 
 def _normalize(bc: np.ndarray, n: int) -> np.ndarray:
+    """Raw BC, summed over ordered source–target pairs, over ``(n - 1)(n - 2)``."""
     return bc / float((n - 1) * (n - 2)) if n > 2 else bc

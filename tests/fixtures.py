@@ -1,6 +1,6 @@
 """Shared test fixtures: the paper's Figure 1 running example, random
-bipartite graphs for the networkx oracles, raw BC scores, row-shuffled
-lakes, Spark job and stage-task counters and a frame digest.
+bipartite graphs for the networkx oracles, raw and exact BC scores,
+row-shuffled lakes, Spark job and stage-task counters and a frame digest.
 
 ``FIGURE1_TABLES`` reconstructs the four tables of the paper (donors,
 zoos, car imports, corporate sales); ``EXAMPLE31_TABLES`` restricts to
@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 from hypothesis import strategies as st
 
-from repro.core.betweenness import dependency_sum
+from repro.core.betweenness import _normalize, dependency_sum
 from repro.core.graph import BipartiteGraph
 from repro.graph.csr import CSR, csr_from_arrays
 from repro.lakes.datalake import CELLS_SCHEMA
@@ -108,6 +108,11 @@ def twin_bipartite_graphs(draw, max_values: int = 8, max_attrs: int = 5):
 def raw_bc(csr: CSR) -> np.ndarray:
     """Raw BC: dependencies summed over every source."""
     return dependency_sum(csr.indptr, csr.indices, range(csr.n))
+
+
+def exact_bc(csr: CSR) -> np.ndarray:
+    """Exact BC: :func:`raw_bc`, normalized as BC normalizes its scores."""
+    return _normalize(raw_bc(csr), csr.n)
 
 
 def shuffled(spark, cells, seed: int):

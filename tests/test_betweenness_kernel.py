@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.betweenness import (
-    betweenness_exact,
     brandes_dependencies,
     sample_sources,
 )
 from repro.graph.csr import CSR, csr_from_arrays
-from tests.fixtures import raw_bc
+from tests.fixtures import exact_bc, raw_bc
 
 
 def _brute_force_bc(csr: CSR) -> np.ndarray:
@@ -58,7 +57,7 @@ def _path(n):
 def test_normalization_constant():
     csr = _path(5)
     raw = raw_bc(csr)
-    norm = betweenness_exact(csr)
+    norm = exact_bc(csr)
     assert np.allclose(norm, raw / (4 * 3))
 
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core import betweenness
 from repro.core.betweenness import (
-    betweenness_exact,
     betweenness_spark,
     betweenness_values,
     brandes_dependencies,
@@ -26,7 +25,7 @@ from repro.core.betweenness import (
 from repro.core.graph import build_graph
 from repro.graph.csr import CSR, csr_from_arrays
 from repro.lakes.sb import sb_lake
-from tests.fixtures import bipartite_graphs, twin_bipartite_graphs
+from tests.fixtures import bipartite_graphs, exact_bc, twin_bipartite_graphs
 
 
 def _nx_graph(graph) -> nx.Graph:
@@ -71,7 +70,7 @@ def test_dependencies_match_networkx_every_source(graph):
 @settings(max_examples=200, deadline=None)
 @given(bipartite_graphs())
 def test_exact_matches_networkx(graph):
-    got = betweenness_exact(graph.csr)
+    got = exact_bc(graph.csr)
     assert np.allclose(got, _nx_bc(graph), rtol=0, atol=1e-9)
 
 
@@ -93,7 +92,7 @@ def test_twin_weighted_matches_unweighted(spark, graph):
     """One sweep per twin class, weighted by class size, is exact BC."""
     csr = graph.csr
     got = betweenness_values(spark, csr)
-    assert np.allclose(got, betweenness_exact(csr), rtol=1e-12, atol=0)
+    assert np.allclose(got, exact_bc(csr), rtol=1e-12, atol=0)
     assert np.allclose(got, _nx_bc(graph), rtol=0, atol=1e-9)
 
 
@@ -160,4 +159,4 @@ def test_sampled_bc_unbiased(spark, monkeypatch, s):
     mean = sum(
         betweenness_values(spark, csr, n_samples=s, seed=i) for i in range(len(sets))
     ) / len(sets)
-    assert np.allclose(mean, betweenness_exact(csr), rtol=1e-12, atol=0)
+    assert np.allclose(mean, exact_bc(csr), rtol=1e-12, atol=0)

@@ -1,5 +1,5 @@
 """Distributed-BC tests: BC must agree with the unit-size sums on the
-full graph (:func:`~repro.core.betweenness.betweenness_exact`) and, on a
+full graph (:func:`tests.fixtures.exact_bc`) and, on a
 twin-rich graph, with networkx; the sampled estimator must behave; and
 the scores must not depend on how many sources one multi-source pass
 sweeps. Each test runs BC's sweeps in a Spark job and on the driver,
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core import betweenness
 from repro.core.betweenness import (
     CHUNKS,
-    betweenness_exact,
     betweenness_spark,
     betweenness_values,
     brandes_dependencies,
@@ -26,7 +25,7 @@ from repro.core.betweenness import (
 from repro.core.graph import build_graph
 from repro.graph.csr import csr_from_arrays
 from repro.lakes.datalake import lake_from_tables
-from tests.fixtures import EXAMPLE31_TABLES, spark_jobs, twin_bipartite_graphs
+from tests.fixtures import EXAMPLE31_TABLES, exact_bc, spark_jobs, twin_bipartite_graphs
 
 
 def _random_csr(n=40, m=120, seed=3):
@@ -58,7 +57,7 @@ def _both(monkeypatch, fn):
 def test_spark_exact_matches_kernel(spark, monkeypatch):
     csr = _random_csr()
     got = _both(monkeypatch, lambda: _collect(betweenness_spark(spark, csr), csr.n))
-    ref = betweenness_exact(csr)
+    ref = exact_bc(csr)
     assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -67,7 +66,7 @@ def test_all_sources_sampled_equals_exact(spark, monkeypatch):
     got = _both(monkeypatch, lambda: _collect(
         betweenness_spark(spark, csr, n_samples=csr.n, seed=0), csr.n
     ))
-    ref = betweenness_exact(csr)
+    ref = exact_bc(csr)
     assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -87,7 +86,7 @@ def test_explicit_sources_subset(spark, monkeypatch):
 
 def test_sampled_ranking_correlates_with_exact(spark, monkeypatch):
     csr = _random_csr(n=120, m=400, seed=7)
-    exact = betweenness_exact(csr)
+    exact = exact_bc(csr)
     approx = _both(monkeypatch, lambda: _collect(
         betweenness_spark(spark, csr, n_samples=60, seed=1), csr.n
     ))

@@ -2,15 +2,17 @@
 (repro.eval.experiments) at tiny scale — every paper table's code path
 runs end-to-end in the suite — and for its ``main`` entry point."""
 import inspect
-from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.eval import experiments
 from repro.eval.experiments import (
     EXPERIMENTS,
+    RESULTS,
     d4_impact,
     main,
+    run_experiment,
     sb_top55,
     scalability_samples,
     scalability_subgraphs,
@@ -90,6 +92,7 @@ def test_experiments_cover_every_harness_once():
         f for name, f in inspect.getmembers(experiments, inspect.isfunction)
         if f.__module__ == experiments.__name__ and not name.startswith("_")
         and next(iter(inspect.signature(f).parameters), None) == "spark"
+        and f is not run_experiment
     ]
     listed = [f for fs in EXPERIMENTS.values() for f in fs]
     assert len(listed) == len(set(listed))
@@ -97,8 +100,7 @@ def test_experiments_cover_every_harness_once():
 
 
 def test_experiment_names_are_results_stems():
-    results = Path(__file__).resolve().parents[1] / "results"
-    assert set(EXPERIMENTS) == {p.stem for p in results.glob("*.txt")}
+    assert set(EXPERIMENTS) == {p.stem for p in RESULTS.glob("*.txt")}
 
 
 def test_unknown_experiment_rejected_before_spark(monkeypatch):
@@ -106,3 +108,16 @@ def test_unknown_experiment_rejected_before_spark(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["nope"])
     assert exc.value.code != 0
+
+
+def test_main_writes_what_run_experiment_returns(monkeypatch, tmp_path):
+    """A stub session, so ``main``'s ``stop`` leaves the suite's running."""
+    spark = SimpleNamespace(stop=lambda: None)
+    harnesses = {n: (lambda spark, n=n: print(n),) for n in ("one", "two")}
+    monkeypatch.setattr(experiments, "EXPERIMENTS", harnesses)
+    monkeypatch.setattr(experiments, "RESULTS", tmp_path)
+    monkeypatch.setattr(experiments, "spark_session", lambda: spark)
+    main(["one"])
+    assert [p.name for p in tmp_path.iterdir()] == ["one.txt"]
+    text = (tmp_path / "one.txt").read_text(encoding="utf-8")
+    assert text == run_experiment(spark, "one") == "one\n"

@@ -1,21 +1,18 @@
 """The recorded results as a test: every experiment of
 :data:`~repro.eval.experiments.EXPERIMENTS` runs at its recorded
-settings, in the session's Spark, and must print ``results/<name>.txt``
-character for character. Only measured seconds are masked: ``time=…s``,
+settings, in the session's Spark, through the ``run_experiment`` that
+writes ``results/<name>.txt``, and must return that file character for
+character. Only measured seconds are masked: ``time=…s``,
 ``constructed in …s`` and ``approx-BC …s``. Precisions, counts and
-scores have no tolerance.
-
-The whole module took 148 s on a 4-core box with a 2 GB driver: the
-work of ``sh results/run_all.sh`` without its seven Spark start-ups.
+scores have no tolerance. The module took 117 s on a 4-core box with a
+2 GB driver.
 """
 import re
-from pathlib import Path
 
 import pytest
 
-from repro.eval.experiments import EXPERIMENTS
+from repro.eval.experiments import EXPERIMENTS, RESULTS, run_experiment
 
-RESULTS = Path(__file__).resolve().parents[1] / "results"
 #: A measured number of seconds and the words that precede it.
 SECONDS = re.compile(r"(time=|constructed in |approx-BC )\d+\.\d+s")
 
@@ -30,8 +27,7 @@ def test_mask_covers_only_seconds():
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
-def test_recorded_results(spark, capsys, name):
-    for harness in EXPERIMENTS[name]:
-        harness(spark)
-    got = capsys.readouterr().out
-    assert _masked(got) == _masked((RESULTS / f"{name}.txt").read_text())
+def test_recorded_results(spark, name):
+    got = run_experiment(spark, name)
+    recorded = (RESULTS / f"{name}.txt").read_text(encoding="utf-8")
+    assert _masked(got) == _masked(recorded)
